@@ -13,6 +13,13 @@ bounded below in valuation by
 and each bound is increasing in the term index once v(x) >= 1, so summation
 stops at the first n whose bound reaches the accumulated sum's own absolute
 precision.  The result then carries that precision honestly.
+
+Each term is divided by a small integer (n for exp, log and the binomial
+coefficients, -(n+1)(n+2) for sin and cos) with div_int: the integer's unit
+part is divided out exactly, with one inverse modulo that word-sized unit and
+none modulo p^N, and the result equals division by from_rational(n, 1, ctx)
+digit for digit and precision for precision.  sin and cos each sum only their
+own series; sin_cos_tan sums both and divides once for tan.
 """
 
 from enum import Enum
@@ -64,8 +71,7 @@ _MAX_TERMS = 100000
 def _exp_series(x):
     """Sum x^n/n! with the factorial tail bound; works for scalars, Q_p(i)
     elements and matrices alike."""
-    ctx = x.ctx
-    p = ctx.p
+    p = x.ctx.p
     lb = x.valuation_lower_bound
     one = _one_like(x)
     total = one
@@ -73,10 +79,7 @@ def _exp_series(x):
     n = 0
     while n < _MAX_TERMS:
         n += 1
-        term = term * x
-        term = term / from_rational(n, 1, ctx) if not isinstance(term, Mat2) else (
-            term.scale_div(from_rational(n, 1, ctx))
-        )
+        term = (term * x).div_int(n)
         total = total + term
         tail = (n + 1) * lb - n // (p - 1)
         if tail >= total.known_precision:
@@ -110,7 +113,7 @@ def log(y):
     while n < _MAX_TERMS:
         n += 1
         xn = xn * x
-        term = xn / from_rational(n if n % 2 == 1 else -n, 1, ctx)
+        term = xn.div_int(n if n % 2 == 1 else -n)
         total = term if total is None else total + term
         tail = (n + 1) * lb - _ilog(n + 1, p)
         if tail >= total.known_precision:
@@ -118,41 +121,42 @@ def log(y):
     raise PadicError("log series failed to terminate")
 
 
+def _alternating(x, power):
+    """sin (power 1) or cos (power 0): the sum of (-1)^k x^(2k+power) /
+    (2k+power)!, with the factorial tail bound."""
+    _require(ConvergenceDomain.EXP_DISK, x, "sin_cos_tan")
+    p = x.ctx.p
+    lb = x.valuation_lower_bound
+    total = term = x if power else _one_like(x)
+    if lb == INFINITE:
+        return total
+    x2 = x * x
+    n = power
+    while n < _MAX_TERMS:
+        term = (term * x2).div_int(-(n + 1) * (n + 2))
+        n += 2
+        total = total + term
+        tail = (n + 2) * lb - (n + 1) // (p - 1)
+        if tail >= total.known_precision:
+            return total.truncate(tail)
+    raise PadicError("trigonometric series failed to terminate")
+
+
 def sin_cos_tan(x):
     """All three at once; cos is a unit on the disk, so tan = sin/cos is safe."""
-    _require(ConvergenceDomain.EXP_DISK, x, "sin_cos_tan")
-    ctx = x.ctx
-    p = ctx.p
-    lb = x.valuation_lower_bound
-    one = _one_like(x)
-    if lb == INFINITE:
-        zero = x
-        return zero, one, zero
-    x2 = x * x
-
-    def alternating(total, term, power):
-        # term at x^power, next at x^(power+2), factorial denominators
-        n = power
-        while n < _MAX_TERMS:
-            term = term * x2 / from_rational(-(n + 1) * (n + 2), 1, ctx)
-            n += 2
-            total = total + term
-            tail = (n + 2) * lb - (n + 1) // (p - 1)
-            if tail >= total.known_precision:
-                return total.truncate(tail)
-        raise PadicError("trigonometric series failed to terminate")
-
-    sin = alternating(x, x, 1)
-    cos = alternating(one, one, 0)
+    sin = _alternating(x, 1)
+    cos = _alternating(x, 0)
+    if x.valuation_lower_bound == INFINITE:
+        return sin, cos, sin
     return sin, cos, sin / cos
 
 
 def sin(x):
-    return sin_cos_tan(x)[0]
+    return _alternating(x, 1)
 
 
 def cos(x):
-    return sin_cos_tan(x)[1]
+    return _alternating(x, 0)
 
 
 def tan(x):
@@ -222,7 +226,7 @@ def binomial_series(alpha, x):
     n = 0
     while n < _MAX_TERMS:
         n += 1
-        c = c * (alpha - from_rational(n - 1, 1, ctx)) / from_rational(n, 1, ctx)
+        c = (c * (alpha - from_rational(n - 1, 1, ctx))).div_int(n)
         xn = xn * x
         total = total + xn * c
         tail = (n + 1) * lb

@@ -21,8 +21,11 @@ def is_prime(n):
 class PrimeContext:
     """Carries p and the significant-digit count N every constructor targets.
 
-    Immutable; safe to share between threads.  Powers of p are cached because
-    every normalization reduces modulo some p^k.
+    p and N are immutable.  Powers of p are cached because every normalization
+    reduces modulo some p^k, and the cache grows by unlocked appends: two
+    threads extending it at once can store a wrong power.  Share a context
+    between threads only after pow(k) has been called for the largest k they
+    will use, or give each thread its own.
     """
 
     __slots__ = ("p", "precision", "_powers")

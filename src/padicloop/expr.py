@@ -15,6 +15,11 @@ from .qpi import QpiElement
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]+)|([()+\-*/^]))")
 
+# nesting limit for parentheses, sqrt( and unary signs; the parser recurses
+# once per level, so this keeps hostile input far from the interpreter's
+# recursion limit
+MAX_DEPTH = 100
+
 
 def _tokenize(text):
     tokens = []
@@ -41,6 +46,7 @@ class _Parser:
         self.tokens = tokens
         self.ctx = ctx
         self.k = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.k] if self.k < len(self.tokens) else (None, None, None)
@@ -55,6 +61,17 @@ class _Parser:
             raise ParseError(f"expected {value!r}, got {tok[1]!r}", position=tok[2])
         self.k += 1
         return tok
+
+    def nested(self, tok, parse):
+        """parse() one nesting level below tok."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(
+                f"expression nested more than {MAX_DEPTH} levels deep", position=tok[2]
+            )
+        value = parse()
+        self.depth -= 1
+        return value
 
     def parse(self):
         value = self.expr()
@@ -81,13 +98,11 @@ class _Parser:
 
     def factor(self):
         tok = self.peek()
-        if tok[:2] == ("op", "-"):
-            self.take()
-            return -self.factor()
-        if tok[:2] == ("op", "+"):
-            self.take()
-            return self.factor()
-        return self.power()
+        if tok[:2] not in (("op", "-"), ("op", "+")):
+            return self.power()
+        self.take()
+        value = self.nested(tok, self.factor)
+        return -value if tok[1] == "-" else value
 
     def power(self):
         base = self.atom()
@@ -119,13 +134,13 @@ class _Parser:
             if name == "sqrt":
                 self.take()
                 self.take("op", "(")
-                arg = self.expr()
+                arg = self.nested(tok, self.expr)
                 self.take("op", ")")
                 return self.sqrt_value(arg)
             raise ParseError(f"unknown name {name!r}", position=tok[2])
         if tok[:2] == ("op", "("):
             self.take()
-            value = self.expr()
+            value = self.nested(tok, self.expr)
             self.take("op", ")")
             return value
         raise ParseError(f"unexpected token {tok[1]!r}", position=tok[2])

@@ -62,6 +62,9 @@ class Mat2:
     def scale_div(self, s):
         return Mat2(*(a / s for a in self.entries()))
 
+    def div_int(self, n):
+        return Mat2(*(a.div_int(n) for a in self.entries()))
+
     def trace(self):
         return self.m11 + self.m22
 
@@ -71,9 +74,6 @@ class Mat2:
     def adjugate(self):
         return Mat2(self.m22, -self.m12, -self.m21, self.m11)
 
-    def conj_entrywise(self):
-        return Mat2(*(a.conj() for a in self.entries()))
-
     def inverse(self):
         d = self.det()
         if d.is_exact_zero:
@@ -81,17 +81,6 @@ class Mat2:
         if d.is_zero:
             raise PrecisionExhausted("determinant is zero to its known precision")
         return self.adjugate().scale_div(d)
-
-    def min_valuation(self):
-        """min over entries of the extended valuation; None when an entry is
-        only known to vanish mod p^m, INFINITE for the zero matrix."""
-        vs = []
-        for a in self.entries():
-            v = a.valuation
-            if v is None:
-                return None
-            vs.append(v)
-        return min(vs)
 
     @property
     def valuation_lower_bound(self):

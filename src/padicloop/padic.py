@@ -165,12 +165,6 @@ class PadicNumber:
             m_cap - self.v, m_cap,
         )
 
-    def shift(self, k):
-        """Multiply by p^k (exact)."""
-        if self.kind != _NONZERO:
-            return PadicNumber(self.ctx, self.kind, None, 0, 0, self.m + k)
-        return PadicNumber(self.ctx, _NONZERO, self.v + k, self.unit, self.r, self.m + k)
-
     def eq_to(self, other, m_cap=None):
         """Equality of digit strings modulo p^min(m, other.m, m_cap)."""
         a, b = self, other
@@ -210,12 +204,20 @@ class PadicNumber:
             return b.truncate(min(a.m, b.m))
         if b.kind == _ZERO_MOD:
             return a.truncate(min(a.m, b.m))
+        ctx = a.ctx
+        if a.v > b.v:
+            a, b = b, a
         m = min(a.m, b.m)
-        v0 = min(a.v, b.v)
-        k = m - v0  # >= 1: each operand has a digit below its m
-        pk = a.ctx.pow(k)
-        s = (a.unit * a.ctx.pow(a.v - v0) + b.unit * b.ctx.pow(b.v - v0)) % pk
-        return PadicNumber.make(a.ctx, v0, s, m)
+        k = m - a.v  # >= 1: each operand has a digit below its m
+        d = b.v - a.v
+        if d == 0:
+            s = a.unit + b.unit
+        elif d < k:
+            s = a.unit + b.unit * ctx.pow(d)
+        else:
+            # b is a multiple of p^k; never build that power of p
+            s = a.unit
+        return PadicNumber.make(ctx, a.v, s, m)
 
     def __sub__(self, other):
         return self + (-other)
@@ -254,6 +256,34 @@ class PadicNumber:
         u = (a.unit * a.ctx.inv_mod(b.unit % pr, r)) % pr
         v = a.v - b.v
         return PadicNumber(a.ctx, _NONZERO, v, u, r, v + r)
+
+    def div_int(self, n):
+        """self / n for a nonzero integer n; the same value, digit for digit
+        and precision for precision, as self / from_rational(n, 1, ctx).
+
+        With n = +-p^vn * n_u, the unit is divided by n_u exactly instead of
+        being multiplied by a full-width inverse: k = -U * (p^r)^-1 mod n_u
+        makes U + k*p^r a multiple of n_u, and the quotient lies in [0, p^r)
+        and is congruent to U / n_u there.  The only inverse is modulo n_u.
+        Like the N-digit divisor it replaces, it caps the result at N digits.
+        """
+        ctx = self.ctx
+        if n == 0:
+            raise DivisionByZero("division by exact zero")
+        vn = vp_int(n, ctx.p)
+        if self.kind != _NONZERO:
+            return PadicNumber(ctx, self.kind, None, 0, 0, self.m - vn)
+        n_u = abs(n) // ctx.pow(vn)
+        r = min(self.r, ctx.precision)
+        pr = ctx.pow(r)
+        u = self.unit % pr
+        if n_u != 1:
+            k = -(u % n_u) * pow(ctx.p, -r, n_u) % n_u
+            u = (u + k * pr) // n_u
+        if n < 0:
+            u = pr - u
+        v = self.v - vn
+        return PadicNumber(ctx, _NONZERO, v, u, r, v + r)
 
     def __pow__(self, k):
         if not isinstance(k, int):

@@ -8,7 +8,7 @@ conditioned as multiplication.
 """
 
 from .errors import DivisionByZero, PadicError, ParseError, PrecisionExhausted, WrongPrimeClass
-from .padic import INFINITE, PadicNumber, format_padic, from_rational, parse_padic
+from .padic import INFINITE, PadicNumber, format_padic, from_rational, parse_padic, vp_int
 
 
 def _require_prime_class(ctx):
@@ -159,6 +159,20 @@ class QpiElement:
             )
         c = self * other.conj()
         return QpiElement(c.re / n, c.im / n)
+
+    def div_int(self, n):
+        """Division by a nonzero integer, component by component; the same
+        result as self / n with n coerced into Q_p(i)."""
+        im = self.im.div_int(n)
+        if not self.re.is_exact_zero:
+            return QpiElement(self.re.div_int(n), im)
+        # through the coerced divisor an exact-zero real part came out as the
+        # product im * 0, so its display precision is N + v(im) - v(n), with
+        # m standing in for v(im) when im is a zero
+        ctx = self.ctx
+        shift = self.im.m if self.im.is_zero else self.im.v
+        m = ctx.precision + shift - vp_int(n, ctx.p)
+        return QpiElement(PadicNumber.exact_zero(ctx, m), im)
 
     def __pow__(self, k):
         if not isinstance(k, int):

@@ -7,7 +7,7 @@ import pytest
 
 from padicloop.cli import main
 from padicloop.context import PrimeContext
-from padicloop.expr import evaluate
+from padicloop.expr import MAX_DEPTH, evaluate
 from padicloop.oracles import GaussianRational, series_partial_sum
 from padicloop.padic import from_int, from_rational
 from padicloop.qpi import QpiElement, parse_qpi
@@ -40,6 +40,32 @@ class TestArith:
         code, _, err = run_cli(capsys, "arith", "2 $ 2")
         assert code == 2
         assert "ParseError" in err
+
+    @pytest.mark.parametrize("expr", [
+        "(" * 5000 + "1" + ")" * 5000,
+        "0+" + "-" * 5000 + "1",
+        "sqrt(" * 5000 + "4" + ")" * 5000,
+    ], ids=["parentheses", "unary-minus", "sqrt"])
+    def test_deep_nesting_is_a_parse_error(self, capsys, expr):
+        code, out, err = run_cli(capsys, "arith", expr)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ParseError: expression nested more than")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("expr", [
+        "(" * MAX_DEPTH + "1" + ")" * MAX_DEPTH,
+        "0+" + "-" * MAX_DEPTH + "1",
+        "sqrt(" * (MAX_DEPTH // 2) + "(" * (MAX_DEPTH // 2) + "1" + ")" * MAX_DEPTH,
+    ], ids=["parentheses", "unary-minus", "sqrt"])
+    def test_nesting_at_the_limit_evaluates(self, capsys, expr):
+        assert run_cli(capsys, "arith", expr) == (0, "1 + O(7^32)\n", "")
+
+    def test_far_addend_keeps_power_cache_small(self):
+        ctx = PrimeContext(7, 32)
+        assert str(evaluate("1 + 7^16000", ctx)) == "1 + O(7^32)"
+        assert str(evaluate("7^16000 + 1", ctx)) == "1 + O(7^32)"
+        assert len(ctx._powers) <= ctx.precision + 2
 
     def test_extension_literal(self, capsys):
         code, out, _ = run_cli(capsys, "arith", "(2 + i)*(2 - i)", "--prec", "4")

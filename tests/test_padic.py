@@ -186,6 +186,38 @@ class TestArith:
         assert (x**0).digits() == [1]
 
 
+def fields(x):
+    return (x.kind, x.v, x.unit, x.r, x.m)
+
+
+def div_int_operands(rng, ctx):
+    """Nonzero values with fewer, exactly N and more than N digits, and
+    both kinds of zero."""
+    out = [PadicNumber.exact_zero(ctx, rng.randint(1, 9)), PadicNumber.zero_mod(ctx, 4)]
+    for ndigits in (1, ctx.precision, ctx.precision + 6):
+        v = rng.randint(-3, 3)
+        digits = [rng.randint(1, ctx.p - 1)]
+        digits += [rng.randint(0, ctx.p - 1) for _ in range(ndigits - 1)]
+        out.append(PadicNumber.from_digits(ctx, v, digits, m=v + ndigits))
+    return out
+
+
+class TestDivInt:
+    @pytest.mark.parametrize("p,prec", [(3, 1), (3, 40), (7, 8), (11, 5), (10007, 12)])
+    def test_matches_division_by_from_rational(self, p, prec):
+        ctx = PrimeContext(p, prec)
+        rng = random.Random(p * 1000 + prec)
+        divisors = [1, -1, p, -p * p, 2 * p**3, 10**12 + 39, -(2**61 - 1)]
+        divisors += [rng.choice((1, -1)) * rng.randint(2, 10**6) for _ in range(20)]
+        for x in div_int_operands(rng, ctx):
+            for n in divisors:
+                assert fields(x.div_int(n)) == fields(x / from_rational(n, 1, ctx)), (x, n)
+
+    def test_by_zero(self):
+        with pytest.raises(DivisionByZero):
+            from_int(3, C7).div_int(0)
+
+
 @st.composite
 def padics(draw, ctx=C7, allow_zero=False):
     if allow_zero and draw(st.booleans()):

@@ -16,10 +16,15 @@ from padicloop import (
     from_int,
     from_rational,
 )
+from padicloop.matrix import Mat2
 from padicloop.oracles import GaussianRational, rational_to_padic_digits, rational_valuation
 from padicloop.qpi import QpiElement, conj, ext_arith, format_qpi, norm_abs, parse_qpi
 
 C7 = PrimeContext(7, 8)
+
+
+def fields(x):
+    return (x.kind, x.v, x.unit, x.r, x.m)
 
 
 def sample_qpi(rng, ctx, vmin=-2, vmax=2):
@@ -98,6 +103,31 @@ class TestFieldOps:
     def test_division_by_zero(self):
         with pytest.raises(DivisionByZero):
             ext_arith("div", QpiElement.one(C7), QpiElement.zero(C7))
+
+    def test_div_int_matches_division_by_from_rational(self):
+        # an exact-zero component must keep the m that division through the
+        # coerced divisor gives it, since a zero component prints as O(p^m)
+        ctx = PrimeContext(7, 6)
+        rng = random.Random(11)
+        x = sample_qpi(rng, ctx)
+        zero = PadicNumber.exact_zero(ctx, 3)
+        values = [
+            x, QpiElement(x.re), QpiElement(zero, x.im), QpiElement.zero(ctx),
+            QpiElement(zero, PadicNumber.zero_mod(ctx, 5)),
+            QpiElement(PadicNumber.zero_mod(ctx, 2), zero),
+        ]
+        entries = (values[0], values[2], values[3], values[4])
+        for n in (1, -1, 7, -49 * 5, 3, -1000003, 2 * 7**4):
+            d = from_rational(n, 1, ctx)
+            for z in values:
+                got, want = z.div_int(n), z / d
+                assert [fields(c) for c in (got.re, got.im)] == [
+                    fields(c) for c in (want.re, want.im)
+                ], (z, n)
+            got, want = Mat2(*entries).div_int(n), Mat2(*entries).scale_div(d)
+            assert [fields(c) for e in got.entries() for c in (e.re, e.im)] == [
+                fields(c) for e in want.entries() for c in (e.re, e.im)
+            ]
 
 
 class TestConj:
