@@ -10,7 +10,7 @@ import cmath
 import random
 from fractions import Fraction
 
-from .analytic import arctan, binomial_series, cos, exp, log, sin, sin_cos_tan
+from .analytic import arcsin, arctan, binomial_series, cos, exp, log, sin, sin_cos_tan
 from .clifford import (
     ProjectiveRotation,
     Vector3,
@@ -53,7 +53,12 @@ _MAX_RECORDED = 6
 
 
 class _Prop:
-    """One property's tally; failures keep only the first few witnesses."""
+    """One property's tally; failures keep only the first few witnesses.
+
+    A witness is the counterexample text or a zero-argument callable that
+    builds it; the callable runs only for a recorded failure, so passing
+    samples format nothing.
+    """
 
     def __init__(self, suite, name):
         self.suite = suite
@@ -64,7 +69,7 @@ class _Prop:
     def tally(self, ok, witness):
         self.samples += 1
         if not ok and len(self.failures) < _MAX_RECORDED:
-            self.failures.append(witness)
+            self.failures.append(witness() if callable(witness) else witness)
 
     def record(self):
         return {
@@ -103,7 +108,10 @@ def _rand_disk_fraction(rng, p):
 
 
 def _tracked(x):
-    """Certified digit count of a value: the floor the suites must keep."""
+    """Certified digit count of a value: the floor the suites must keep.
+    A rotation is certified by its alpha entry."""
+    if isinstance(x, ProjectiveRotation):
+        return _tracked(x.alpha)
     if isinstance(x, QpiElement):
         return min(_tracked(x.re), _tracked(x.im))
     if x.is_exact_zero:
@@ -125,11 +133,14 @@ def _tally_eq(prop, lhs, rhs, floor, witness):
     than `floor` digits (deep additive cancellation ate the margin, likeliest
     at p = 3) is skipped and the caller draws a fresh sample; equality is
     never part of the redraw condition, so no counterexample can hide here.
+    A sample that checks several equalities passes lhs and rhs as tuples,
+    compared pairwise.
     """
-    if not lhs.eq_to(rhs):
+    pairs = tuple(zip(lhs, rhs)) if isinstance(lhs, tuple) else ((lhs, rhs),)
+    if not all(a.eq_to(b) for a, b in pairs):
         prop.tally(False, witness)
         return True
-    if min(_tracked(lhs), _tracked(rhs)) < floor:
+    if min(min(_tracked(a), _tracked(b)) for a, b in pairs) < floor:
         return False
     prop.tally(True, witness)
     return True
@@ -177,7 +188,7 @@ def run_axioms(p, prec, seed, samples):
     for _ in range(samples):
         x = _rand_disk(rng, ctx)
         ok = loop_add(zero, x).value == x.value and loop_add(x, zero).value == x.value
-        prop.tally(ok, f"x={x.serialize()}")
+        prop.tally(ok, lambda: f"x={x.serialize()}")
     out.append(prop.record())
 
     prop = _Prop(suite, "left-inverse")
@@ -187,7 +198,8 @@ def run_axioms(p, prec, seed, samples):
         x, e = _rand_disk(rng, ctx), _rand_disk(rng, ctx)
         got = loop_add(-x, loop_add(x, e))
         return _tally_eq(
-            prop, got.value, e.value, floor, f"x={x.serialize()}; e={e.serialize()}"
+            prop, got.value, e.value, floor,
+            lambda: f"x={x.serialize()}; e={e.serialize()}",
         )
 
     _run_certified(prop, samples, left_inverse_case)
@@ -203,7 +215,7 @@ def run_axioms(p, prec, seed, samples):
         ok = s.value.valuation_lower_bound >= min(vx, vy)
         if vx != vy:
             ok = ok and s.value.valuation == min(vx, vy)
-        prop.tally(ok, f"x={x.serialize()}; y={y.serialize()}")
+        prop.tally(ok, lambda: f"x={x.serialize()}; y={y.serialize()}")
     out.append(prop.record())
 
     prop = _Prop(suite, "left-divide-round-trip")
@@ -211,16 +223,12 @@ def run_axioms(p, prec, seed, samples):
 
     def round_trip_case():
         a, b = _rand_disk(rng, ctx), _rand_disk(rng, ctx)
-        witness = f"a={a.serialize()}; b={b.serialize()}"
         there = loop_add(a, left_divide(a, b)).value
         back = left_divide(a, loop_add(a, b)).value
-        if not (there.eq_to(b.value) and back.eq_to(b.value)):
-            prop.tally(False, witness)
-            return True
-        if min(_tracked(there), _tracked(back)) < floor:
-            return False
-        prop.tally(True, witness)
-        return True
+        return _tally_eq(
+            prop, (there, back), (b.value, b.value), floor,
+            lambda: f"a={a.serialize()}; b={b.serialize()}",
+        )
 
     _run_certified(prop, samples, round_trip_case)
     out.append(prop.record())
@@ -232,7 +240,7 @@ def run_axioms(p, prec, seed, samples):
         x1, x2 = _rand_disk(rng, ctx), _rand_disk(rng, ctx)
         u = deviation(x1, x2).factor
         ok = u.valuation == 0 and _eq_floor(u * u.conj(), one, floor)
-        prop.tally(ok, f"x1={x1.serialize()}; x2={x2.serialize()}")
+        prop.tally(ok, lambda: f"x1={x1.serialize()}; x2={x2.serialize()}")
     out.append(prop.record())
 
     prop = _Prop(suite, "automorphism-law")
@@ -248,7 +256,7 @@ def run_axioms(p, prec, seed, samples):
             lhs.value,
             rhs.value,
             floor,
-            f"u={d.serialize()}; x={x.serialize()}; y={y.serialize()}",
+            lambda: f"u={d.serialize()}; x={x.serialize()}; y={y.serialize()}",
         )
 
     _run_certified(prop, samples, automorphism_case)
@@ -259,20 +267,15 @@ def run_axioms(p, prec, seed, samples):
 
     def factorization_case():
         x1, x2 = _rand_disk(rng, ctx), _rand_disk(rng, ctx)
-        witness = f"x1={x1.serialize()}; x2={x2.serialize()}"
         lam12 = left_translation_matrix(loop_add(x1, x2))
         path = rotation_compose(
             rotation_compose(lam12.inverse(), left_translation_matrix(x1)),
             left_translation_matrix(x2),
         )
         want = deviation(x1, x2).as_rotation()
-        if not path.eq_to(want):
-            prop.tally(False, witness)
-            return True
-        if min(_tracked(path.alpha), _tracked(want.alpha)) < floor:
-            return False
-        prop.tally(True, witness)
-        return True
+        return _tally_eq(
+            prop, path, want, floor, lambda: f"x1={x1.serialize()}; x2={x2.serialize()}"
+        )
 
     _run_certified(prop, samples, factorization_case)
     out.append(prop.record())
@@ -343,14 +346,14 @@ def run_analytic(p, prec, seed, samples):
         x, y = sample(rng), sample(rng)
         return _tally_eq(
             prop, exp(x + y), exp(x) * exp(y), floor,
-            f"x={format_padic(x)}; y={format_padic(y)}",
+            lambda: f"x={format_padic(x)}; y={format_padic(y)}",
         )
 
     eq_property("exp-additivity", exp_additivity)
 
     def log_exp_round_trip(prop, rng):
         x = sample(rng)
-        return _tally_eq(prop, log(exp(x)), x, floor, f"x={format_padic(x)}")
+        return _tally_eq(prop, log(exp(x)), x, floor, lambda: f"x={format_padic(x)}")
 
     eq_property("log-exp-round-trip", log_exp_round_trip)
 
@@ -358,14 +361,18 @@ def run_analytic(p, prec, seed, samples):
         x = sample(rng)
         s, c, _t = sin_cos_tan(x)
         lhs = exp(QpiElement(PadicNumber.exact_zero(ctx), x))
-        return _tally_eq(prop, lhs, QpiElement(c, s), floor, f"x={format_padic(x)}")
+        return _tally_eq(
+            prop, lhs, QpiElement(c, s), floor, lambda: f"x={format_padic(x)}"
+        )
 
     eq_property("euler-formula", euler_formula)
 
     def pythagoras(prop, rng):
         x = sample(rng)
         s, c, _t = sin_cos_tan(x)
-        return _tally_eq(prop, s * s + c * c, one, floor, f"x={format_padic(x)}")
+        return _tally_eq(
+            prop, s * s + c * c, one, floor, lambda: f"x={format_padic(x)}"
+        )
 
     eq_property("pythagoras", pythagoras)
 
@@ -375,7 +382,7 @@ def run_analytic(p, prec, seed, samples):
         sy, cy, _ = sin_cos_tan(y)
         return _tally_eq(
             prop, sin(x + y), sx * cy + cx * sy, floor,
-            f"x={format_padic(x)}; y={format_padic(y)}",
+            lambda: f"x={format_padic(x)}; y={format_padic(y)}",
         )
 
     eq_property("sin-addition", sin_addition)
@@ -386,7 +393,7 @@ def run_analytic(p, prec, seed, samples):
         sy, cy, _ = sin_cos_tan(y)
         return _tally_eq(
             prop, cos(x + y), cx * cy - sx * sy, floor,
-            f"x={format_padic(x)}; y={format_padic(y)}",
+            lambda: f"x={format_padic(x)}; y={format_padic(y)}",
         )
 
     eq_property("cos-addition", cos_addition)
@@ -395,14 +402,14 @@ def run_analytic(p, prec, seed, samples):
     rng = _child_rng(seed, suite, prop.name)
     for _ in range(samples):
         x = sample(rng)
-        prop.tally(sin(x).valuation == x.valuation, f"x={format_padic(x)}")
+        prop.tally(sin(x).valuation == x.valuation, lambda: f"x={format_padic(x)}")
     out.append(prop.record())
 
     prop = _Prop(suite, "cos-absolute-value")
     rng = _child_rng(seed, suite, prop.name)
     for _ in range(samples):
         x = sample(rng)
-        prop.tally(cos(x).valuation == 0, f"x={format_padic(x)}")
+        prop.tally(cos(x).valuation == 0, lambda: f"x={format_padic(x)}")
     out.append(prop.record())
 
     prop = _Prop(suite, "sin-isometry")
@@ -414,7 +421,7 @@ def run_analytic(p, prec, seed, samples):
             y = sample(rng, vmax=3)
         prop.tally(
             (sin(x) - sin(y)).valuation == (x - y).valuation,
-            f"x={format_padic(x)}; y={format_padic(y)}",
+            lambda: f"x={format_padic(x)}; y={format_padic(y)}",
         )
     out.append(prop.record())
 
@@ -440,6 +447,7 @@ def _analytic_oracle_record(ctx, seed, samples):
             ("sin", sin(x), series_partial_sum("sin", gx, terms)),
             ("cos", cos(x), series_partial_sum("cos", gx, terms)),
             ("arctan", arctan(x), series_partial_sum("arctan", gx, terms)),
+            ("arcsin", arcsin(x), series_partial_sum("arcsin", gx, terms)),
             (
                 "binomial",
                 binomial_series(from_rational(1, 2, ctx), x),
@@ -447,7 +455,7 @@ def _analytic_oracle_record(ctx, seed, samples):
             ),
         ]
         bad = [name for name, got, want in checks if not _digits_match(got, want.re, p)]
-        prop.tally(not bad, f"x={q}; functions={','.join(bad)}")
+        prop.tally(not bad, lambda: f"x={q}; functions={','.join(bad)}")
     return prop.record()
 
 
@@ -478,7 +486,7 @@ def run_clifford(p, prec, seed, samples):
         M = iota(v)
         prop.tally(
             (M * M).eq_to(ident.scale(quadratic_form(v, v))),
-            f"v={v.serialize()}",
+            lambda: f"v={v.serialize()}",
         )
     out.append(prop.record())
 
@@ -489,7 +497,7 @@ def run_clifford(p, prec, seed, samples):
         u, v = _rand_vector(rng, ctx), _rand_vector(rng, ctx)
         lhs = iota(u) * iota(v) + iota(v) * iota(u)
         rhs = ident.scale(two * quadratic_form(u, v))
-        prop.tally(lhs.eq_to(rhs), f"u={u.serialize()}; v={v.serialize()}")
+        prop.tally(lhs.eq_to(rhs), lambda: f"u={u.serialize()}; v={v.serialize()}")
     out.append(prop.record())
 
     prop = _Prop(suite, "reflection-conjugation")
@@ -500,7 +508,7 @@ def run_clifford(p, prec, seed, samples):
         lhs = iota(reflect(u, v))
         U = iota(u)
         rhs = -(U * iota(v) * U.inverse())
-        prop.tally(lhs.eq_to(rhs), f"u={u.serialize()}; v={v.serialize()}")
+        prop.tally(lhs.eq_to(rhs), lambda: f"u={u.serialize()}; v={v.serialize()}")
     out.append(prop.record())
 
     prop = _Prop(suite, "double-reflection-rotation")
@@ -514,7 +522,9 @@ def run_clifford(p, prec, seed, samples):
             ProjectiveRotation.from_clifford_product(u, w)
         except PadicError:
             ok = False
-        prop.tally(ok, f"u={u.serialize()}; w={w.serialize()}; v={v.serialize()}")
+        prop.tally(
+            ok, lambda: f"u={u.serialize()}; w={w.serialize()}; v={v.serialize()}"
+        )
     out.append(prop.record())
 
     prop = _Prop(suite, "chart-round-trip")
@@ -524,7 +534,7 @@ def run_clifford(p, prec, seed, samples):
         P = lift(xi)
         ok = stereo(P, "cup").eq_to(xi)
         ok = ok and lift(stereo(P, "cup")).vec.eq_to(P.vec)
-        prop.tally(ok, f"xi={format_qpi(xi)}")
+        prop.tally(ok, lambda: f"xi={format_qpi(xi)}")
     out.append(prop.record())
 
     prop = _Prop(suite, "polar-chart-value")
@@ -536,7 +546,7 @@ def run_clifford(p, prec, seed, samples):
         psi = stereo(polar_point(theta, phi), "cup")
         _s, _c, t = sin_cos_tan(theta)
         ok = psi.eq_to(exp(i_unit * phi) * t) and psi.valuation == theta.valuation
-        prop.tally(ok, f"theta={format_padic(theta)}; phi={format_padic(phi)}")
+        prop.tally(ok, lambda: f"theta={format_padic(theta)}; phi={format_padic(phi)}")
     out.append(prop.record())
 
     prop = _Prop(suite, "equivariance")
@@ -551,7 +561,9 @@ def run_clifford(p, prec, seed, samples):
         rhs = mobius_action(R, xi)
         prop.tally(
             lhs.eq_to(rhs),
-            f"a={format_padic(a)}; beta={format_qpi(beta)}; xi={format_qpi(xi)}",
+            lambda: (
+                f"a={format_padic(a)}; beta={format_qpi(beta)}; xi={format_qpi(xi)}"
+            ),
         )
     out.append(prop.record())
     return out
@@ -572,7 +584,7 @@ def run_oracle(p, prec, seed, samples):
         den = rng.randint(1, 10**4)
         x = from_rational(num, den, ctx)
         q = Fraction(num, den)
-        prop.tally(_digits_match(x, q, p), f"q={q}")
+        prop.tally(_digits_match(x, q, p), lambda: f"q={q}")
     out.append(prop.record())
 
     prop = _Prop(suite, "sqrt-round-trip")
@@ -589,7 +601,7 @@ def run_oracle(p, prec, seed, samples):
             while want and want[-1] == 0:  # digits() trims trailing zeros
                 want.pop()
             ok = want is not None and s.digits() == want
-        prop.tally(ok, f"q=({num}/{den})^2")
+        prop.tally(ok, lambda: f"q=({num}/{den})^2")
     out.append(prop.record())
 
     prop = _Prop(suite, "parse-format-round-trip")
@@ -603,7 +615,7 @@ def run_oracle(p, prec, seed, samples):
         if ext:
             z = QpiElement(x, from_rational(den, max(1, abs(num)), ctx))
             ok = ok and parse_qpi(format_qpi(z), ctx) == z
-        prop.tally(ok, f"q={num}/{den}")
+        prop.tally(ok, lambda: f"q={num}/{den}")
     out.append(prop.record())
 
     out.extend(run_float_checks(seed, samples))
@@ -630,7 +642,7 @@ def run_float_checks(seed, samples):
             abs(complex_float_loop(0.0, b) - b) < tol
             and abs(complex_float_loop(b, 0.0) - b) < tol
         )
-        prop.tally(ok, f"b={b!r}")
+        prop.tally(ok, lambda: f"b={b!r}")
     out.append(prop.record())
 
     prop = _Prop(suite, "float-left-inverse")
@@ -638,7 +650,7 @@ def run_float_checks(seed, samples):
     for _ in range(samples):
         a, b = rand_point(rng), rand_point(rng)
         got = complex_float_loop(-a, complex_float_loop(a, b))
-        prop.tally(abs(got - b) < tol, f"a={a!r}; b={b!r}")
+        prop.tally(abs(got - b) < tol, lambda: f"a={a!r}; b={b!r}")
     out.append(prop.record())
 
     prop = _Prop(suite, "float-automorphism")
@@ -649,7 +661,7 @@ def run_float_checks(seed, samples):
         u = (1 - a * b.conjugate()) / (1 - a.conjugate() * b)
         lhs = u * complex_float_loop(x, y)
         rhs = complex_float_loop(u * x, u * y)
-        prop.tally(abs(lhs - rhs) < tol, f"a={a!r}; b={b!r}; x={x!r}; y={y!r}")
+        prop.tally(abs(lhs - rhs) < tol, lambda: f"a={a!r}; b={b!r}; x={x!r}; y={y!r}")
     out.append(prop.record())
     return out
 

@@ -1,11 +1,19 @@
 """Independent exact verifiers backing the test suites.
 
-Everything here runs on stdlib Fraction / complex arithmetic and never touches
-the digit kernel, so agreement between the two is meaningful evidence.  Slow
-is fine; these are oracles, not production paths.
+Everything here runs on Python integers and stdlib Fraction / complex
+arithmetic and never touches the digit kernel: no PadicNumber, no truncation,
+no inverse modulo p^N.  Agreement between the two is meaningful evidence.
+
+series_partial_sum writes each series as sum_n c_n x^(s + k n) with c_0 = 1
+and c_(n+1) / c_n = P(n) / Q(n) for small integers P(n), Q(n).  With
+x = (a + b i) / d, Horner's rule keeps the partial sum as a Gaussian-integer
+numerator over one integer denominator, so a term costs a few products by
+small integers and the fraction is reduced once, at the end, instead of by a
+gcd per operation (Brent and Zimmermann, Modern Computer Arithmetic, 4.4).
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import NearPole, ZeroDenominator
 
@@ -157,58 +165,54 @@ def gaussian_loop_add(a, b):
     return (a + b) / den
 
 
+# series id -> (s, k, n -> (P(n), Q(n))), as in the module docstring
+_SERIES = {
+    "exp": (0, 1, lambda n: (1, n + 1)),
+    "log1p": (1, 1, lambda n: (-(n + 1), n + 2)),
+    "sin": (1, 2, lambda n: (-1, (2 * n + 2) * (2 * n + 3))),
+    "cos": (0, 2, lambda n: (-1, (2 * n + 1) * (2 * n + 2))),
+    "arctan": (1, 2, lambda n: (-(2 * n + 1), 2 * n + 3)),
+    "arcsin": (1, 2, lambda n: ((2 * n + 1) ** 2, (2 * n + 2) * (2 * n + 3))),
+}
+
+
 def series_partial_sum(series_id, x, terms, alpha=None):
     """Exact partial sums of the defining power series.
 
     terms counts the summands actually taken (starting from the first one of
-    the series in question).
+    the series in question).  Series ids: exp, log1p, sin, cos, arctan,
+    arcsin and binomial (which needs the rational exponent alpha).
     """
     x = _gq(x)
-    total = GaussianRational(0)
-    if series_id == "exp":
-        t = GaussianRational(1)
-        for n in range(terms):
-            if n:
-                t = t * x * Fraction(1, n)
-            total = total + t
-    elif series_id == "log1p":
-        xn = GaussianRational(1)
-        for n in range(1, terms + 1):
-            xn = xn * x
-            total = total + xn * Fraction((-1) ** (n + 1), n)
-    elif series_id == "sin":
-        t = x
-        for n in range(terms):
-            if n:
-                t = t * x * x * Fraction(-1, (2 * n) * (2 * n + 1))
-            total = total + t
-    elif series_id == "cos":
-        t = GaussianRational(1)
-        for n in range(terms):
-            if n:
-                t = t * x * x * Fraction(-1, (2 * n - 1) * (2 * n))
-            total = total + t
-    elif series_id == "arctan":
-        x2 = x * x
-        xn = x
-        for n in range(terms):
-            if n:
-                xn = xn * x2
-            total = total + xn * Fraction((-1) ** n, 2 * n + 1)
-    elif series_id == "binomial":
+    if series_id == "binomial":
         if alpha is None:
             raise ValueError("binomial series needs alpha")
         alpha = Fraction(alpha)
-        c = Fraction(1)
-        xn = GaussianRational(1)
-        for n in range(terms):
-            if n:
-                c = c * (alpha - (n - 1)) / n
-                xn = xn * x
-            total = total + xn * c
+        u, v = alpha.numerator, alpha.denominator
+        s, k, ratio = 0, 1, lambda n: (u - n * v, v * (n + 1))
+    elif series_id in _SERIES:
+        s, k, ratio = _SERIES[series_id]
     else:
         raise ValueError(f"unknown series {series_id!r}")
-    return total
+    if terms < 1:
+        return GaussianRational(0)
+    # x = (a + b i) / d and y = x^k = (yr + yi i) / dk over the integers
+    d = lcm(x.re.denominator, x.im.denominator)
+    a, b = (c.numerator * d // c.denominator for c in (x.re, x.im))
+    yr, yi, dk = (a, b, d) if k == 1 else (a * a - b * b, 2 * a * b, d * d)
+    # Horner from the innermost term: acc_n = 1 + (P(n) / Q(n)) y acc_(n+1),
+    # kept as the Gaussian integer (ar + ai i) over the integer den
+    ar, ai, den = 1, 0, 1
+    for n in reversed(range(terms - 1)):
+        num, q = ratio(n)
+        q *= dk
+        ar, ai = q * den + num * (yr * ar - yi * ai), num * (yr * ai + yi * ar)
+        den *= q
+    # times x^s
+    for _ in range(s):
+        ar, ai = a * ar - b * ai, a * ai + b * ar
+        den *= d
+    return GaussianRational(Fraction(ar, den), Fraction(ai, den))
 
 
 # ---- 2x2 Gaussian-rational matrices (for the matrix exponential check) ----

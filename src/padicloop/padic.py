@@ -339,7 +339,10 @@ def from_rational(num, den, ctx):
     v = vn - vd
     n = ctx.precision
     pn = ctx.pow(n)
-    u = (num // ctx.pow(vn)) * ctx.inv_mod((den // ctx.pow(vd)) % pn, n) % pn
+    u = num // ctx.pow(vn)
+    du = den // ctx.pow(vd)
+    if du != 1:  # a power of p as denominator needs no inverse
+        u *= ctx.inv_mod(du % pn, n)
     return PadicNumber(ctx, _NONZERO, v, u % pn, n, v + n)
 
 

@@ -11,6 +11,7 @@ from padicloop.checks import (
     run_float_checks,
     run_suite,
 )
+from padicloop.clifford import ProjectiveRotation
 from padicloop.context import PrimeContext
 from padicloop.padic import INFINITE, PadicNumber, from_int
 from padicloop.qpi import QpiElement
@@ -94,3 +95,42 @@ def test_failure_reports_cap_but_count_everything():
     rec = prop.record()
     assert rec["samples"] == 10
     assert rec["failures"] == [f"w{k}" for k in range(6)]
+
+
+def test_witness_is_built_only_for_recorded_failures():
+    built = []
+
+    def witness():
+        built.append(1)
+        return "w"
+
+    prop = _Prop("t", "x")
+    for _ in range(5):
+        prop.tally(True, witness)
+    assert built == [] and prop.samples == 5
+    for _ in range(8):
+        prop.tally(False, witness)
+    # only the first _MAX_RECORDED failures are kept, so only those are built
+    assert len(built) == 6
+    assert prop.record()["failures"] == ["w"] * 6
+
+
+class TestTallyPairs:
+    def test_any_unequal_pair_is_a_failure(self):
+        prop = _Prop("t", "x")
+        one = QpiElement.one(C7)
+        two = QpiElement(from_int(2, C7))
+        assert _tally_eq(prop, (one, one), (one, two), 20, lambda: "w")
+        assert prop.failures == ["w"]
+
+    def test_any_undercertified_pair_is_skipped(self):
+        prop = _Prop("t", "x")
+        one = QpiElement.one(C7)
+        narrow = narrow_unit(C7, 3)
+        assert not _tally_eq(prop, (one, narrow), (one, narrow), 20, lambda: "w")
+        assert prop.samples == 0
+
+    def test_rotation_is_certified_by_alpha(self):
+        one = QpiElement.one(C7)
+        rotation = ProjectiveRotation(one, QpiElement(PadicNumber.exact_zero(C7)))
+        assert _tracked(rotation) == _tracked(rotation.alpha)

@@ -1,12 +1,13 @@
 """CLI surface: grammar, dispatch, exit codes, deterministic check reports."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
 from padicloop.cli import main
-from padicloop.context import PrimeContext
+from padicloop.context import MAX_PRIME, PrimeContext
 from padicloop.expr import MAX_DEPTH, evaluate
 from padicloop.oracles import GaussianRational, series_partial_sum
 from padicloop.padic import from_int, from_rational
@@ -175,6 +176,28 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", "all", "--p", "9")
         assert code == 2
         assert "prime" in err
+
+    def test_large_prime_accepted_quickly(self, capsys):
+        # 10^14 + 31 is prime and 3 (mod 4); trial division took about 0.8 s
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            capsys, "arith", "1/3", "--p", str(10**14 + 31), "--prec", "2"
+        )
+        assert code == 0
+        assert out.endswith(" + O(100000000000031^2)\n")
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("p", [
+        (10**7 + 19) * (10**14 + 31),  # composite whose least factor is 10^7 + 19
+        MAX_PRIME,  # beyond the bound where the primality test is proven
+        10**400 + 1,
+    ], ids=["large-factors", "at-bound", "huge"])
+    def test_unprovable_or_composite_p_is_an_input_error(self, capsys, p):
+        code, out, err = run_cli(capsys, "arith", "1", "--p", str(p))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: PadicError: p must be")
+        assert err.count("\n") == 1
 
     def test_wrong_class_rejected_for_loop_suites(self, capsys):
         code, _, err = run_cli(capsys, "check", "axioms", "--p", "5")

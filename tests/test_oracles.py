@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -141,12 +142,75 @@ class TestSeries:
         s = series_partial_sum("binomial", x, 10, alpha=2)
         assert s == GaussianRational(1) + x * 2 + x * x
 
+    def test_arcsin_coefficients(self):
+        # arcsin x = x + x^3/6 + 3x^5/40 + 5x^7/112 + 35x^9/1152 + ...
+        q = Fraction(2, 3)
+        s = series_partial_sum("arcsin", GaussianRational(q), 5)
+        assert s == GaussianRational(
+            q + q**3 / 6 + 3 * q**5 / 40 + 5 * q**7 / 112 + 35 * q**9 / 1152
+        )
+
+    def test_unknown_series_and_missing_alpha(self):
+        with pytest.raises(ValueError):
+            series_partial_sum("tan", GaussianRational(1), 3)
+        with pytest.raises(ValueError):
+            series_partial_sum("binomial", GaussianRational(1), 3)
+
     def test_binomial_half_squares_back(self):
         x = GaussianRational(7)
         s = series_partial_sum("binomial", x, 12, alpha=Fraction(1, 2))
         # (partial sum)^2 = 1 + 7 (mod 7^12): tail terms have v >= 12
         err = s * s - (GaussianRational(1) + x)
         assert rational_valuation(err.re, 7) >= 12
+
+
+def reference_terms(series_id, x, count, alpha=None):
+    """The first `count` summands of each series, term by term in Fractions
+    from the closed-form coefficients."""
+    power, have = GaussianRational(1), 0
+    for n in range(count):
+        if series_id == "exp":
+            c, e = Fraction(1, factorial(n)), n
+        elif series_id == "log1p":
+            c, e = Fraction((-1) ** n, n + 1), n + 1
+        elif series_id == "sin":
+            c, e = Fraction((-1) ** n, factorial(2 * n + 1)), 2 * n + 1
+        elif series_id == "cos":
+            c, e = Fraction((-1) ** n, factorial(2 * n)), 2 * n
+        elif series_id == "arctan":
+            c, e = Fraction((-1) ** n, 2 * n + 1), 2 * n + 1
+        elif series_id == "arcsin":
+            c, e = Fraction(comb(2 * n, n), 4**n * (2 * n + 1)), 2 * n + 1
+        else:
+            c = Fraction(1, factorial(n))
+            for j in range(n):
+                c *= alpha - j
+            e = n
+        while have < e:
+            power, have = power * x, have + 1
+        yield power * c
+
+
+SERIES_IDS = ("exp", "log1p", "sin", "cos", "arctan", "arcsin")
+SERIES_CASES = {sid: (sid, None) for sid in SERIES_IDS}
+SERIES_CASES.update({f"binomial({a})": ("binomial", Fraction(a)) for a in ("1/2", "-3", "2")})
+POINTS = {
+    "real": GaussianRational(Fraction(21, 40)),
+    "gaussian": GaussianRational(Fraction(-7, 12), Fraction(49, 5)),
+    "imaginary": GaussianRational(0, Fraction(3, 7)),
+    "zero": GaussianRational(0),
+}
+
+
+@pytest.mark.parametrize("point", sorted(POINTS))
+@pytest.mark.parametrize("case", sorted(SERIES_CASES))
+def test_partial_sums_match_term_by_term_reference(case, point):
+    series_id, alpha = SERIES_CASES[case]
+    x = POINTS[point]
+    total = GaussianRational(0)
+    for terms, term in enumerate(reference_terms(series_id, x, 80, alpha), start=1):
+        total = total + term
+        assert series_partial_sum(series_id, x, terms, alpha=alpha) == total, terms
 
 
 class TestMatrixOracle:

@@ -22,6 +22,8 @@ from padicloop import (
     parse_padic,
     sqrt,
 )
+from padicloop.context import MAX_PRIME, is_prime
+from padicloop.errors import PadicError
 from padicloop.oracles import rational_to_padic_digits, rational_valuation, sqrt_digits
 
 C7 = PrimeContext(7, 8)
@@ -54,6 +56,44 @@ class TestContext:
     def test_rejects_bad_precision(self):
         with pytest.raises(Exception):
             PrimeContext(7, 0)
+
+    def test_is_prime_matches_trial_division(self):
+        def trial(n):
+            return n > 1 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+        assert [n for n in range(-3, 20000) if is_prime(n)] == [
+            n for n in range(-3, 20000) if trial(n)
+        ]
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # each passes Miller-Rabin for all bases up to 7, 17, 23 and 37 in turn
+        for n in (3215031751, 341550071728321, 3825123056546413051,
+                  318665857834031151167461):
+            assert not is_prime(n)
+
+    def test_no_answer_beyond_the_proven_bound(self):
+        # MAX_PRIME itself is a strong pseudoprime to all 13 bases
+        with pytest.raises(PadicError):
+            is_prime(MAX_PRIME)
+        assert is_prime(MAX_PRIME - 1) is False  # even: settled by the bases
+
+
+class TestFromRationalInverses:
+    def test_integers_and_powers_of_p_need_no_inverse(self, monkeypatch):
+        calls = []
+        inv_mod = PrimeContext.inv_mod
+
+        def counted(ctx, u, k):
+            calls.append(u)
+            return inv_mod(ctx, u, k)
+
+        monkeypatch.setattr(PrimeContext, "inv_mod", counted)
+        for num, den in ((5, 1), (-12, 1), (98, 1), (3, 49), (-1, 7)):
+            x = from_rational(num, den, C7)
+            assert x.digits() == rational_to_padic_digits(Fraction(num, den), 7, 8)
+        assert calls == []
+        from_rational(1, 3, C7)
+        assert calls == [3]
 
 
 class TestFromRational:
