@@ -14,15 +14,33 @@ and each bound is increasing in the term index once v(x) >= 1, so summation
 stops at the first n whose bound reaches the accumulated sum's own absolute
 precision.  The result then carries that precision honestly.
 
-Each term is divided by a small integer (n for exp, log and the binomial
-coefficients, -(n+1)(n+2) for sin and cos) with div_int: the integer's unit
-part is divided out exactly, with one inverse modulo that word-sized unit and
-none modulo p^N, and the result equals division by from_rational(n, 1, ctx)
-digit for digit and precision for precision.  sin and cos each sum only their
-own series; sin_cos_tan sums both and divides once for tan.
+exp, log, sin and cos (so also tan, arctan and arcsin) are summed in two
+steps.  A precision plan runs the object recurrence term by term, the one that
+fixes every component's (kind, v, r, m), until a digit-free bound shows that
+no later term can lower any component's m: the bound is the element valuation
+n*v(x) - v_p(n!) (exp, sin, cos) or n*v(x) - floor(log_p n) (log) together
+with the components' m at that point.  The sum's m is then frozen, and the
+stop index is the first n whose tail bound above reaches it.  The value is
+then summed on the raw integers of x (a Gaussian-integer pair for Q_p(i))
+modulo p^(m + g), with g the valuation of a common denominator: n! for exp,
+sin and cos, lcm(1..n) for log.  Rectangular splitting (Paterson-Stockmeyer,
+and Smith for hypergeometric series) computes the powers x^1..x^s with
+s ~ sqrt(n), sums blocks of s terms with small-integer coefficients, and joins
+the blocks by Horner's rule in x^s, so about 2 sqrt(n) full-width products
+replace n of them.  A single inverse of the denominator's unit ends it.  A
+series that stops before the plan is proven simply finishes on the object
+recurrence, so every digit and every O-term is the recurrence's own.
+
+binomial_series (whose alpha is a full-width p-adic, so its coefficients are
+not small integers) and matrix_exp keep the term recurrence; there each term
+is divided by a small integer with div_int, which divides the integer's unit
+out exactly with one inverse modulo that word-sized unit and none modulo p^N.
 """
 
 from enum import Enum
+from itertools import accumulate
+from math import factorial, isqrt, lcm
+from operator import mul
 
 from .errors import DomainError, PadicError
 from .matrix import Mat2
@@ -68,6 +86,229 @@ def _ilog(n, p):
 _MAX_TERMS = 100000
 
 
+# ---- precision plan ----
+
+
+def _comps(z):
+    return (z.re, z.im) if isinstance(z, QpiElement) else (z,)
+
+
+def _plan(total, carrier, x, n, step, tail, dip):
+    """Where the object recurrence would stop, and the m it would report.
+
+    `total` is the partial sum after term n, and `carrier` is what the
+    recurrence multiplies by `x` next (the term itself for exp, sin and cos,
+    x^n for log).  The total's m is the minimum of its terms' m, so once no
+    later term can lower any component's m it is frozen, and the stop is the
+    first index n + k*step whose tail bound reaches it.
+
+    The bound is digit-free.  With E the carrier's valuation bound and
+    vx that of x, PadicNumber's rules (a product's m is the smaller of
+    m(a) + v(b) and m(b) + v(a), a sum's the smaller m, div_int keeps at
+    most N digits) keep every later inexact component at m >= E' + R, where
+    E' is that term's valuation bound and R = min(m - E over the carrier,
+    m - vx over x, N); exact zeros keep m >= E' + Q in the same way, Q
+    taking the exact zeros' m.  E' never falls more than `dip` below E, by
+    v_p(k!/n!) <= (k - n) - 1 + s_p(n) // (p-1) for k > n, s_p the base-p
+    digit sum (exp, sin, cos), and v_p(k) <= k - n - 1 + floor(log_p(n + 1))
+    (log).
+
+    Returns (stop, tail at stop, each component's final m, None for an exact
+    zero), or None while this does not yet prove the m frozen.
+    """
+    frozen = [None if c.is_exact_zero else c.m for c in _comps(total)]
+    vx = x.valuation_lower_bound
+    E = carrier.valuation_lower_bound
+    low = E - dip
+    N = x.ctx.precision
+    R = min(
+        min(c.m for c in _comps(carrier) if not c.is_exact_zero) - E,
+        min(c.m for c in _comps(x) if not c.is_exact_zero) - vx,
+        N,
+    )
+    if any(mc is not None and low + R < mc for mc in frozen):
+        return None
+    stop = _first_reaching(tail, n, step, total.known_precision)
+    if stop >= _MAX_TERMS:
+        return None
+    t = tail(stop)
+    if None in frozen:
+        # a component of the sum is an exact zero after a term only when x is
+        # real (or, for sin and cos, pure imaginary), and then it is one in
+        # every later term; the sum's is the last term's, capped at t
+        x_zero_m = [c.m - vx for c in _comps(x) if c.is_exact_zero]
+        Q = min([N] + [c.m - E for c in _comps(carrier) if c.is_exact_zero] + x_zero_m)
+        # an exact zero of x times one of the carrier adds the two m's, which
+        # keeps the bound only when the former's m is at least vx
+        if min(x_zero_m, default=0) < 0 or low + Q < t:
+            return None
+    return stop, t, [None if mc is None else min(mc, t) for mc in frozen]
+
+
+def _first_reaching(tail, n, step, known):
+    """The first n + k*step, k >= 1, with tail >= known, where tail(n) <
+    known and tail never decreases along the index sequence: gallop, then
+    bisect."""
+    lo, hi = 0, 1
+    while tail(n + hi * step) < known:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if tail(n + mid * step) < known:
+            lo = mid
+        else:
+            hi = mid
+    return n + hi * step
+
+
+def _digit_sum(n, p):
+    """The sum of n's base-p digits."""
+    s = 0
+    while n:
+        n, d = divmod(n, p)
+        s += d
+    return s
+
+
+def _vp_factorial(n, p):
+    """v_p(n!) by Legendre's formula."""
+    return (n - _digit_sum(n, p)) // (p - 1)
+
+
+# ---- value: the planned partial sum on raw integers ----
+
+
+def _gmul(a, b, P):
+    """Gaussian-integer product mod P, with three big products (two when
+    either factor is real)."""
+    (ar, ai), (br, bi) = a, b
+    if not (ai and bi):
+        return (ar * br - ai * bi) % P, (ar * bi + ai * br) % P
+    rr, ii = ar * br, ai * bi
+    return (rr - ii) % P, ((ar + ai) * (br + bi) - rr - ii) % P
+
+
+def _raw(x, P):
+    """x as a Gaussian integer mod P: each component's unit times p^v."""
+    out = [0, 0]
+    for k, c in enumerate(_comps(x)):
+        if not c.is_zero:
+            out[k] = c.unit * pow(c.ctx.p, c.v, P) % P
+    return tuple(out)
+
+
+def _rect(z, blocks, P):
+    """Sum over blocks j of y^j * w_j * sum_i c_ji z^i mod P, y = z^s, by
+    rectangular splitting: the powers z^0..z^s once, each block as small
+    integers times those powers, then Horner's rule in y.  `blocks` holds
+    (w_j, [c_j0, c_j1, ...]) from the last block to the first; every block
+    but the last has s coefficients."""
+    s = len(blocks[-1][1])
+    re, im = [1, z[0]], [0, z[1]]
+    while len(re) <= s:
+        a, b = _gmul((re[-1], im[-1]), z, P)
+        re.append(a)
+        im.append(b)
+    y = re[s], im[s]
+    real = not any(im)
+    acc = (0, 0)
+    for w, coeffs in blocks:
+        a, b = _gmul(acc, y, P)
+        acc = (
+            (a + w * sum(map(mul, coeffs, re))) % P,
+            b if real else (b + w * sum(map(mul, coeffs, im))) % P,
+        )
+    return acc
+
+
+def _hyper_blocks(qs, P):
+    """Blocks of T = sum_{k<=K} z^k q_k q_(k+1) ... q_(K-1) for the K small
+    integers qs, so that sum_{k<=K} z^k / (q_0 ... q_(k-1)) = T / (q_0 ...
+    q_(K-1))."""
+    K = len(qs)
+    s = _block_size(K)
+    blocks, w = [], 1
+    for start in reversed(range(0, K + 1, s)):
+        coeffs = list(accumulate(reversed(qs[start:start + s]), mul))[::-1]
+        if start + s > K:
+            coeffs.append(1)
+        blocks.append((w, coeffs))
+        w = w * coeffs[0] % P
+    return blocks
+
+
+def _log_blocks(L, K, P):
+    """Blocks of T = sum_{k<=K} z^k L/(k+1), L = lcm(1..K+1)."""
+    s = _block_size(K)
+    blocks = []
+    for start in reversed(range(0, K + 1, s)):
+        ds = range(start + 1, min(start + s, K + 1) + 1)
+        D = lcm(*ds)
+        blocks.append((L // D % P, [D // d for d in ds]))
+    return blocks
+
+
+def _block_size(K):
+    return isqrt(K) + 1
+
+
+def _planned_sum(x, t, ms, den, g, numerator):
+    """The planned partial sum T / den from the raw integers of x.
+
+    numerator(X, P) returns T modulo P = p^(max m + g), where g = v_p(den),
+    for X = x mod P; T / den is formed with one inverse of den's unit, and
+    each component is normalized at its planned m (an exact zero at the
+    tail bound t)."""
+    ctx = x.ctx
+    top = max(m for m in ms if m is not None)
+    # plain powers: p^(top + g) lies beyond what ctx caches, and caching it
+    # would hold every smaller power too
+    pg = ctx.p**g
+    P = pg * ctx.pow(top)
+    T = numerator(_raw(x, P), P)
+    inv = ctx.inv_mod(den // pg % ctx.pow(top), top)
+    comps = [
+        PadicNumber.exact_zero(ctx, t) if m is None
+        else PadicNumber.make(ctx, 0, c // pg * inv, m)
+        for c, m in zip(T, ms)
+    ]
+    return QpiElement(*comps) if isinstance(x, QpiElement) else comps[0]
+
+
+def _exp_value(x, stop, t, ms):
+    """sum_{k<=stop} x^k / k!"""
+    return _planned_sum(
+        x, t, ms, factorial(stop), _vp_factorial(stop, x.ctx.p),
+        lambda X, P: _rect(X, _hyper_blocks(range(1, stop + 1), P), P),
+    )
+
+
+def _trig_value(x, power, stop, t, ms):
+    """sum_k (-x^2)^k x^power / (2k + power)! up to 2k + power = stop, whose
+    k-th coefficient ratio is (2k + 1 + power)(2k + 2 + power)."""
+    qs = list(map(mul, range(1 + power, stop, 2), range(2 + power, stop + 1, 2)))
+
+    def numerator(X, P):
+        z = _gmul(X, X, P)
+        T = _rect((-z[0] % P, -z[1] % P), _hyper_blocks(qs, P), P)
+        return _gmul(T, X, P) if power else T
+
+    return _planned_sum(x, t, ms, factorial(stop), _vp_factorial(stop, x.ctx.p), numerator)
+
+
+def _log_value(x, stop, t, ms):
+    """x * sum_{k<stop} (-x)^k / (k + 1), over the denominator
+    lcm(1..stop), whose valuation grows like log stop, not like stop."""
+    L = lcm(*range(1, stop + 1))
+    return _planned_sum(
+        x, t, ms, L, _ilog(stop, x.ctx.p),
+        lambda X, P: _gmul(_rect((-X[0] % P, -X[1] % P), _log_blocks(L, stop - 1, P), P), X, P),
+    )
+
+
+# ---- the series ----
+
+
 def _exp_series(x):
     """Sum x^n/n! with the factorial tail bound; works for scalars, Q_p(i)
     elements and matrices alike."""
@@ -76,16 +317,23 @@ def _exp_series(x):
     one = _one_like(x)
     total = one
     term = one
+
+    def tail(n):
+        return (n + 1) * lb - n // (p - 1)
+
     n = 0
     while n < _MAX_TERMS:
         n += 1
         term = (term * x).div_int(n)
         total = total + term
-        tail = (n + 1) * lb - n // (p - 1)
-        if tail >= total.known_precision:
+        if tail(n) >= total.known_precision:
             # digits at or beyond the tail bound would still move if more
             # terms were added; cap every component there
-            return total.truncate(tail)
+            return total.truncate(tail(n))
+        if not isinstance(x, Mat2):
+            plan = _plan(total, term, x, n, 1, tail, _digit_sum(n, p) // (p - 1) - 1)
+            if plan:
+                return _exp_value(x, *plan)
     raise PadicError("exp series failed to terminate")
 
 
@@ -107,6 +355,10 @@ def log(y):
     if lb == INFINITE:
         z = PadicNumber.exact_zero(ctx)
         return QpiElement(z, z) if isinstance(y, QpiElement) else z
+
+    def tail(n):
+        return (n + 1) * lb - _ilog(n + 1, p)
+
     total = None
     xn = _one_like(x)
     n = 0
@@ -115,9 +367,11 @@ def log(y):
         xn = xn * x
         term = xn.div_int(n if n % 2 == 1 else -n)
         total = term if total is None else total + term
-        tail = (n + 1) * lb - _ilog(n + 1, p)
-        if tail >= total.known_precision:
-            return total.truncate(tail)
+        if tail(n) >= total.known_precision:
+            return total.truncate(tail(n))
+        plan = _plan(total, xn, x, n, 1, tail, _ilog(n + 1, p) - 1)
+        if plan:
+            return _log_value(x, *plan)
     raise PadicError("log series failed to terminate")
 
 
@@ -131,14 +385,20 @@ def _alternating(x, power):
     if lb == INFINITE:
         return total
     x2 = x * x
+
+    def tail(n):
+        return (n + 2) * lb - (n + 1) // (p - 1)
+
     n = power
     while n < _MAX_TERMS:
         term = (term * x2).div_int(-(n + 1) * (n + 2))
         n += 2
         total = total + term
-        tail = (n + 2) * lb - (n + 1) // (p - 1)
-        if tail >= total.known_precision:
-            return total.truncate(tail)
+        if tail(n) >= total.known_precision:
+            return total.truncate(tail(n))
+        plan = _plan(total, term, x2, n, 2, tail, _digit_sum(n, p) // (p - 1) - 1)
+        if plan:
+            return _trig_value(x, power, *plan)
     raise PadicError("trigonometric series failed to terminate")
 
 

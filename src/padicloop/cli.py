@@ -19,6 +19,10 @@ from .loop import DiskPoint, deviation, left_divide, loop_add, right_solve
 from .padic import format_padic
 from .qpi import QpiElement, format_qpi
 
+# work and memory grow with both, so each is bounded where input enters
+MAX_PREC = 8192
+MAX_SAMPLES = 100000
+
 _ANALYTIC_FNS = {
     "exp": exp,
     "log": log,
@@ -34,7 +38,8 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--p", type=int, default=7, help="working prime (default 7)")
     common.add_argument(
-        "--prec", type=int, default=32, help="significant digits (default 32)"
+        "--prec", type=int, default=32,
+        help=f"significant digits (default 32, at most {MAX_PREC})",
     )
     common.add_argument(
         "--seed", type=int, default=0, help="RNG seed for check suites (default 0)"
@@ -77,9 +82,16 @@ def _build_parser():
         "suite", choices=("axioms", "analytic", "clifford", "oracle", "all")
     )
     p_check.add_argument(
-        "--samples", type=int, default=200, help="samples per property (default 200)"
+        "--samples", type=int, default=200,
+        help=f"samples per property (default 200, at most {MAX_SAMPLES})",
     )
     return parser
+
+
+def _context(args):
+    if args.prec > MAX_PREC:
+        raise ParseError(f"--prec must be at most {MAX_PREC}")
+    return PrimeContext(args.p, args.prec)
 
 
 def _require_field_prime(ctx, what):
@@ -99,7 +111,7 @@ def _print_value(z, fmt):
 
 
 def _cmd_arith(args):
-    ctx = PrimeContext(args.p, args.prec)
+    ctx = _context(args)
     _print_value(evaluate(args.expr, ctx), args.fmt)
     return 0
 
@@ -109,7 +121,7 @@ def _as_scalar_or_qpi(z):
 
 
 def _cmd_analytic(args):
-    ctx = PrimeContext(args.p, args.prec)
+    ctx = _context(args)
     if args.fn == "binom":
         if len(args.args) != 2:
             raise ParseError("binom takes two arguments: exponent and point")
@@ -132,7 +144,7 @@ def _cmd_analytic(args):
 
 
 def _cmd_loop(args):
-    ctx = PrimeContext(args.p, args.prec)
+    ctx = _context(args)
     _require_field_prime(ctx, "the disk loop")
     a = DiskPoint(evaluate(args.a, ctx))
     b = DiskPoint(evaluate(args.b, ctx))
@@ -158,11 +170,13 @@ def _cmd_loop(args):
 
 
 def _cmd_check(args):
-    ctx = PrimeContext(args.p, args.prec)
+    ctx = _context(args)
     if args.suite in checks.EXTENSION_SUITES or args.suite == "all":
         _require_field_prime(ctx, f"the {args.suite} suite")
     if args.samples < 1:
         raise ParseError("--samples must be at least 1")
+    if args.samples > MAX_SAMPLES:
+        raise ParseError(f"--samples must be at most {MAX_SAMPLES}")
     records = checks.run_suite(args.suite, args.p, args.prec, args.seed, args.samples)
     records.sort(key=lambda r: (r["suite"], r["property"]))
     failing = sum(1 for r in records if r["failures"])

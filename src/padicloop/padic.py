@@ -250,12 +250,20 @@ class PadicNumber:
                 f"divisor is zero to its known precision O({b.ctx.p}^{b.m})"
             )
         if a.kind != _NONZERO:
-            return PadicNumber(a.ctx, a.kind, None, 0, 0, a.m - b.v)
+            return a.quotient(b, None)
         r = min(a.r, b.r)
-        pr = a.ctx.pow(r)
-        u = (a.unit * a.ctx.inv_mod(b.unit % pr, r)) % pr
-        v = a.v - b.v
-        return PadicNumber(a.ctx, _NONZERO, v, u, r, v + r)
+        return a.quotient(b, a.ctx.inv_mod(b.unit % a.ctx.pow(r), r))
+
+    def quotient(self, b, inv):
+        """self / b for a nonzero b whose unit has the inverse inv modulo
+        p^k, k >= min(self.r, b.r) (unused when self is a zero), so one
+        inverse can serve several dividends."""
+        if self.kind != _NONZERO:
+            return PadicNumber(self.ctx, self.kind, None, 0, 0, self.m - b.v)
+        r = min(self.r, b.r)
+        pr = self.ctx.pow(r)
+        v = self.v - b.v
+        return PadicNumber(self.ctx, _NONZERO, v, self.unit * inv % pr, r, v + r)
 
     def div_int(self, n):
         """self / n for a nonzero integer n; the same value, digit for digit

@@ -158,7 +158,10 @@ class QpiElement:
                 "divisor is zero to its known precision in Q_p(i)"
             )
         c = self * other.conj()
-        return QpiElement(c.re / n, c.im / n)
+        # one inverse of the norm's unit, at the widest r either part needs
+        r = max((min(x.r, n.r) for x in (c.re, c.im) if not x.is_zero), default=0)
+        inv = self.ctx.inv_mod(n.unit % self.ctx.pow(r), r) if r else None
+        return QpiElement(c.re.quotient(n, inv), c.im.quotient(n, inv))
 
     def div_int(self, n):
         """Division by a nonzero integer, component by component; the same

@@ -1,0 +1,148 @@
+"""Term-by-term reference for the series that analytic.py sums by
+rectangular splitting.
+
+`_exp_series`, `_alternating` and `log` are the object recurrences that
+analytic.py ran before the rectangular-splitting engine, copied verbatim: one
+full-width PadicNumber / QpiElement product per term.  The public functions
+below compose them exactly as analytic.py composes its own, so the engine
+must reproduce every digit and every (kind, v, unit, r, m) of them.
+"""
+
+from padicloop.analytic import (
+    _MAX_TERMS,
+    ConvergenceDomain,
+    _as_qpi,
+    _ilog,
+    _one_like,
+    _real_in_real_out,
+    _require,
+    binomial_series,
+)
+from padicloop.errors import PadicError
+from padicloop.padic import INFINITE, PadicNumber, from_rational
+from padicloop.qpi import QpiElement
+
+
+def _exp_series(x):
+    """Sum x^n/n! with the factorial tail bound; works for scalars, Q_p(i)
+    elements and matrices alike."""
+    p = x.ctx.p
+    lb = x.valuation_lower_bound
+    one = _one_like(x)
+    total = one
+    term = one
+    n = 0
+    while n < _MAX_TERMS:
+        n += 1
+        term = (term * x).div_int(n)
+        total = total + term
+        tail = (n + 1) * lb - n // (p - 1)
+        if tail >= total.known_precision:
+            # digits at or beyond the tail bound would still move if more
+            # terms were added; cap every component there
+            return total.truncate(tail)
+    raise PadicError("exp series failed to terminate")
+
+
+def exp(x):
+    """exp on the disk |x|_p <= p^-1 (where the factorial growth is beaten)."""
+    _require(ConvergenceDomain.EXP_DISK, x, "exp")
+    if x.valuation_lower_bound == INFINITE:
+        return _one_like(x)
+    return _exp_series(x)
+
+
+def log(y):
+    """log on 1 + LOG_DISK: y = 1 + x with |x|_p < 1."""
+    x = y - _one_like(y)
+    _require(ConvergenceDomain.LOG_DISK, x, "log")
+    ctx = x.ctx
+    p = ctx.p
+    lb = x.valuation_lower_bound
+    if lb == INFINITE:
+        z = PadicNumber.exact_zero(ctx)
+        return QpiElement(z, z) if isinstance(y, QpiElement) else z
+    total = None
+    xn = _one_like(x)
+    n = 0
+    while n < _MAX_TERMS:
+        n += 1
+        xn = xn * x
+        term = xn.div_int(n if n % 2 == 1 else -n)
+        total = term if total is None else total + term
+        tail = (n + 1) * lb - _ilog(n + 1, p)
+        if tail >= total.known_precision:
+            return total.truncate(tail)
+    raise PadicError("log series failed to terminate")
+
+
+def _alternating(x, power):
+    """sin (power 1) or cos (power 0): the sum of (-1)^k x^(2k+power) /
+    (2k+power)!, with the factorial tail bound."""
+    _require(ConvergenceDomain.EXP_DISK, x, "sin_cos_tan")
+    p = x.ctx.p
+    lb = x.valuation_lower_bound
+    total = term = x if power else _one_like(x)
+    if lb == INFINITE:
+        return total
+    x2 = x * x
+    n = power
+    while n < _MAX_TERMS:
+        term = (term * x2).div_int(-(n + 1) * (n + 2))
+        n += 2
+        total = total + term
+        tail = (n + 2) * lb - (n + 1) // (p - 1)
+        if tail >= total.known_precision:
+            return total.truncate(tail)
+    raise PadicError("trigonometric series failed to terminate")
+
+
+def sin(x):
+    return _alternating(x, 1)
+
+
+def cos(x):
+    return _alternating(x, 0)
+
+
+def tan(x):
+    s, c = sin(x), cos(x)
+    if x.valuation_lower_bound == INFINITE:
+        return s
+    return s / c
+
+
+def arctan(x):
+    was_real = not isinstance(x, QpiElement)
+    x = _as_qpi(x)
+    _require(ConvergenceDomain.EXP_DISK, x, "arctan")
+    ctx = x.ctx
+    i = QpiElement.i_unit(ctx)
+    ix = i * x
+    one = QpiElement.one(ctx)
+    q = (one + ix) / (one - ix)
+    result = log(q) * (-i) / from_rational(2, 1, ctx)
+    return _real_in_real_out(result, was_real)
+
+
+def arcsin(x):
+    was_real = not isinstance(x, QpiElement)
+    x = _as_qpi(x)
+    _require(ConvergenceDomain.BINOMIAL_DISK, x, "arcsin")
+    ctx = x.ctx
+    i = QpiElement.i_unit(ctx)
+    half = from_rational(1, 2, ctx)
+    root = binomial_series(half, -(x * x))
+    result = log(i * x + root) * (-i)
+    return _real_in_real_out(result, was_real)
+
+
+FUNCTIONS = {
+    "exp": exp,
+    "log": log,
+    "sin": sin,
+    "cos": cos,
+    "tan": tan,
+    "arctan": arctan,
+    "arcsin": arcsin,
+}

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from padicloop.cli import main
+from padicloop import checks
+from padicloop.cli import MAX_PREC, MAX_SAMPLES, main
 from padicloop.context import MAX_PRIME, PrimeContext
 from padicloop.expr import MAX_DEPTH, evaluate
 from padicloop.oracles import GaussianRational, series_partial_sum
@@ -243,3 +244,41 @@ class TestCheck:
         records = json.loads(out)
         keys = [(r["suite"], r["property"]) for r in records]
         assert keys == sorted(keys)
+
+
+class TestCaps:
+    def test_prec_at_cap_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "arith", "1/3", "--p", "7", "--prec", str(MAX_PREC))
+        assert code == 0
+        assert out.endswith(f" + O(7^{MAX_PREC})\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("arith", "1"),
+        ("analytic", "exp", "7"),
+        ("loop", "add", "7", "7*i"),
+        ("check", "oracle", "--samples", "1"),
+    ], ids=["arith", "analytic", "loop", "check"])
+    def test_prec_above_cap_is_an_input_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--prec", str(MAX_PREC + 1))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: ParseError: --prec must be at most {MAX_PREC}\n"
+
+    def test_samples_at_cap_reaches_the_suite(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            checks, "run_suite", lambda suite, p, prec, seed, samples: seen.append(samples) or []
+        )
+        code, out, _ = run_cli(capsys, "check", "oracle", "--samples", str(MAX_SAMPLES))
+        assert code == 0
+        assert seen == [MAX_SAMPLES]
+        assert out == "PASS: 0 properties, 0 failing\n"
+
+    def test_samples_above_cap_is_an_input_error(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(checks, "run_suite", lambda *args: seen.append(args) or [])
+        code, out, err = run_cli(capsys, "check", "oracle", "--samples", str(MAX_SAMPLES + 1))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: ParseError: --samples must be at most {MAX_SAMPLES}\n"
+        assert seen == []

@@ -130,6 +130,40 @@ class TestFieldOps:
             ]
 
 
+    @pytest.mark.parametrize("p,prec", [(7, 6), (3, 20), (11, 3), (10007, 4)])
+    def test_division_matches_two_scalar_divisions(self, p, prec):
+        # one inverse of the norm serves both parts; each part must keep the
+        # (kind, v, unit, r, m) of its own division by the norm, exact-zero
+        # display m included
+        ctx = PrimeContext(p, prec)
+        rng = random.Random(p * 100 + prec)
+
+        def comp():
+            kind = rng.randrange(6)
+            if kind == 0:
+                return PadicNumber.exact_zero(ctx, rng.choice((1, prec, prec + 5)))
+            if kind == 1:
+                return PadicNumber.zero_mod(ctx, rng.randint(-1, prec + 4))
+            v = rng.randint(-2, 3)
+            ndigits = rng.randint(1, prec + 5)
+            digits = [rng.randint(1, p - 1)] + [rng.randint(0, p - 1) for _ in range(ndigits - 1)]
+            return PadicNumber.from_digits(ctx, v, digits, m=v + ndigits)
+
+        checked = 0
+        for _ in range(400):
+            a, b = QpiElement(comp(), comp()), QpiElement(comp(), comp())
+            n = b.norm()
+            if n.is_zero:
+                continue
+            c = a * b.conj()
+            got = a / b
+            assert [fields(x) for x in (got.re, got.im)] == [
+                fields(c.re / n), fields(c.im / n)
+            ], (a, b)
+            checked += 1
+        assert checked > 100
+
+
 class TestConj:
     def test_conj_i(self):
         c = conj(QpiElement.i_unit(C7))

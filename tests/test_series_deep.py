@@ -1,0 +1,166 @@
+"""Byte identity of the rectangular-splitting series engine at depth.
+
+exp, sin, cos, tan, log, arctan and arcsin are compared with the same
+functions composed from the term-by-term reference in series_reference.py,
+at N in {256, 512} on p in {3, 7, 11, 10007} and at N = 1024 on p = 7.
+Every component must agree in (kind, v, unit, r, m), the m of exact zeros
+included, since a zero component prints as O(p^m).  The inputs cover Q_p
+values of valuation 1..3, full, pure-imaginary and real Q_p(i) values,
+arithmetic results with r < N, literals longer than N, components with
+unequal r and inexact-zero components.  p = 3 runs every class at both
+depths; the other grid points run about half of them, so that tier-1 stays
+within a few seconds.  A seeded batch of random inputs at N <= 64 then
+reaches the edges of the precision plan.
+"""
+
+import random
+
+import pytest
+
+import series_reference as reference
+from padicloop import analytic
+from padicloop.context import PrimeContext
+from padicloop.errors import PadicError
+from padicloop.padic import PadicNumber, from_rational
+from padicloop.qpi import QpiElement
+
+
+def _scalar(rng, ctx, v, ndigits):
+    digits = [rng.randint(1, ctx.p - 1)]
+    digits += [rng.randint(0, ctx.p - 1) for _ in range(ndigits - 1)]
+    return PadicNumber.from_digits(ctx, v, digits, m=v + ndigits)
+
+
+def make_input(label, ctx):
+    rng = random.Random(f"{label}:{ctx.p}:{ctx.precision}")
+    N = ctx.precision
+    zero = PadicNumber.exact_zero(ctx)
+    if label.startswith("qp_v"):
+        return _scalar(rng, ctx, int(label[-1]), N)
+    if label == "qpi":
+        return QpiElement(_scalar(rng, ctx, 1, N), _scalar(rng, ctx, 2, N))
+    if label == "qpi_imag":
+        return QpiElement(zero, _scalar(rng, ctx, 1, N))
+    if label == "qpi_real":
+        return QpiElement(_scalar(rng, ctx, 2, N))
+    if label == "arith_short":
+        # a sum with a shorter operand: r < N
+        return _scalar(rng, ctx, 1, N) + _scalar(rng, ctx, 2, N // 3)
+    if label == "qpi_arith_short":
+        a = QpiElement(_scalar(rng, ctx, 1, N // 2), _scalar(rng, ctx, 1, N))
+        return a * QpiElement(from_rational(1, 1, ctx), _scalar(rng, ctx, 1, N))
+    if label == "long_literal":
+        return _scalar(rng, ctx, 1, N + 9)
+    if label == "qpi_unequal_r":
+        return QpiElement(_scalar(rng, ctx, 1, N + 7), _scalar(rng, ctx, 3, N // 2))
+    if label == "qpi_inexact_zero":
+        return QpiElement(_scalar(rng, ctx, 1, N), PadicNumber.zero_mod(ctx, N + 2))
+    raise ValueError(label)
+
+
+LABELS = (
+    "qp_v1", "qp_v2", "qp_v3", "qpi", "qpi_imag", "qpi_real", "arith_short",
+    "qpi_arith_short", "long_literal", "qpi_unequal_r", "qpi_inexact_zero",
+)
+HALF_A = ("qp_v1", "qpi", "qpi_imag", "arith_short", "long_literal", "qpi_inexact_zero")
+HALF_B = ("qp_v2", "qp_v3", "qpi_real", "qpi_arith_short", "qpi_unequal_r")
+
+# p = 10007 (6,800-bit units at N = 512) and N = 1024 run cheaper classes
+DEPTHS = {
+    (3, 256): LABELS,
+    (7, 256): LABELS,
+    (11, 256): HALF_A,
+    (10007, 256): HALF_B,
+    (3, 512): LABELS,
+    (7, 512): HALF_A,
+    (11, 512): HALF_B,
+    (10007, 512): ("qp_v3", "arith_short"),
+    (7, 1024): ("qpi_real",),
+}
+CASES = [(p, N, label) for (p, N), labels in DEPTHS.items() for label in labels]
+
+FUNCTIONS = ("exp", "sin", "cos", "tan", "log", "arctan", "arcsin")
+FIELDS = ("kind", "v", "unit", "r", "m")
+
+
+def outcome(fn, x):
+    """Per component (kind, v, unit, r, m), or the error raised."""
+    if fn is analytic.log or fn is reference.log:
+        one = from_rational(1, 1, x.ctx)
+        x = QpiElement(one) + x if isinstance(x, QpiElement) else one + x
+    try:
+        value = fn(x)
+    except PadicError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    comps = (value.re, value.im) if isinstance(value, QpiElement) else (value,)
+    return [(c.kind, c.v, c.unit, c.r, c.m) for c in comps]
+
+
+def mismatched_fields(got, want):
+    if isinstance(got, str) or isinstance(want, str):
+        return [] if got == want else [(got, want)]
+    return [
+        (comp, name)
+        for comp, (g, w) in enumerate(zip(got, want))
+        for name, a, b in zip(FIELDS, g, w)
+        if a != b
+    ] + ([] if len(got) == len(want) else ["components"])
+
+
+@pytest.mark.parametrize("p,N,label", CASES, ids=[f"p{p}-N{N}-{lab}" for p, N, lab in CASES])
+def test_engine_matches_term_by_term_reference(p, N, label):
+    x = make_input(label, PrimeContext(p, N))
+    mismatched = {}
+    for fn in FUNCTIONS:
+        got = outcome(getattr(analytic, fn), x)
+        diff = mismatched_fields(got, outcome(reference.FUNCTIONS[fn], x))
+        if diff:
+            mismatched[fn] = diff
+    assert mismatched == {}
+
+
+def _random_component(rng, ctx):
+    """A scalar at v 1..3 with 1..N+9 digits, or a zero of either kind with
+    a small, N-sized or large m (an exact zero's m prints as O(p^m))."""
+    N = ctx.precision
+    kind = rng.randrange(8)
+    if kind == 0:
+        return PadicNumber.exact_zero(ctx, rng.choice((1, 3, N, N + 5)))
+    if kind == 1:
+        return PadicNumber.zero_mod(ctx, rng.randint(1, N + 5))
+    return _scalar(rng, ctx, rng.randint(1, 3), rng.choice((N, N + 7, rng.randint(1, N + 9))))
+
+
+def random_inputs(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        ctx = PrimeContext(rng.choice((3, 7, 11, 19, 10007)), rng.choice((1, 2, 3, 5, 8, 16, 32, 64)))
+        a = _random_component(rng, ctx)
+        shape = rng.randrange(4)
+        if shape == 0:
+            x = a
+        elif shape == 1:
+            # an arithmetic result, whose r can fall below N
+            x = a + _random_component(rng, ctx) * from_rational(ctx.p, 1, ctx)
+        else:
+            x = QpiElement(a, _random_component(rng, ctx))
+        if not x.is_exact_zero:
+            yield x
+
+
+def test_engine_matches_reference_on_random_shallow_inputs():
+    # small N reaches the plan's edges: series that stop before it, terms that
+    # lower m after the first, and exact zeros whose printed m the bound must
+    # place
+    mismatched = []
+    for x in random_inputs(300, seed=4):
+        for fn in FUNCTIONS:
+            got = outcome(getattr(analytic, fn), x)
+            if mismatched_fields(got, outcome(reference.FUNCTIONS[fn], x)):
+                mismatched.append((fn, repr(x)))
+    assert mismatched == []
+
+
+def test_every_input_class_runs_at_both_depths():
+    for N in (256, 512):
+        assert {label for _, n, label in CASES if n == N} == set(LABELS)
