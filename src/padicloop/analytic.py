@@ -12,7 +12,10 @@ bounded below in valuation by
 
 and each bound is increasing in the term index once v(x) >= 1, so summation
 stops at the first n whose bound reaches the accumulated sum's own absolute
-precision.  The result then carries that precision honestly.
+precision.  The result then carries that precision honestly.  exp, sin and cos
+are one exp-type series, sum_k (sign x^s)^k x^e / (s k + e)!, with (s, e, sign)
+= (1, 0, +1), (2, 1, -1) and (2, 0, -1); its tail after the term x^n is the
+exp-type bound at n + s - 1.
 
 exp, log, sin and cos (so also tan, arctan and arcsin) are summed in two
 steps.  A precision plan runs the object recurrence term by term, the one that
@@ -32,14 +35,15 @@ series that stops before the plan is proven simply finishes on the object
 recurrence, so every digit and every O-term is the recurrence's own.
 
 binomial_series (whose alpha is a full-width p-adic, so its coefficients are
-not small integers) and matrix_exp keep the term recurrence; there each term
-is divided by a small integer with div_int, which divides the integer's unit
-out exactly with one inverse modulo that word-sized unit and none modulo p^N.
+not small integers) and matrix_exp (exp's series on 2x2 matrices, with no plan)
+keep the term recurrence; there each term is divided by a small integer with
+div_int, which divides the integer's unit out exactly with one inverse modulo
+that word-sized unit and none modulo p^N.
 """
 
 from enum import Enum
 from itertools import accumulate
-from math import factorial, isqrt, lcm
+from math import factorial, isqrt, lcm, prod
 from operator import mul
 
 from .errors import DomainError, PadicError
@@ -275,23 +279,19 @@ def _planned_sum(x, t, ms, den, g, numerator):
     return QpiElement(*comps) if isinstance(x, QpiElement) else comps[0]
 
 
-def _exp_value(x, stop, t, ms):
-    """sum_{k<=stop} x^k / k!"""
-    return _planned_sum(
-        x, t, ms, factorial(stop), _vp_factorial(stop, x.ctx.p),
-        lambda X, P: _rect(X, _hyper_blocks(range(1, stop + 1), P), P),
-    )
-
-
-def _trig_value(x, power, stop, t, ms):
-    """sum_k (-x^2)^k x^power / (2k + power)! up to 2k + power = stop, whose
-    k-th coefficient ratio is (2k + 1 + power)(2k + 2 + power)."""
-    qs = list(map(mul, range(1 + power, stop, 2), range(2 + power, stop + 1, 2)))
+def _factorial_value(x, s, e, sign, stop, t, ms):
+    """sum_k (sign x^s)^k x^e / (s k + e)! up to s k + e = stop, whose k-th
+    coefficient ratio is (s k + e + 1) ... (s k + e + s)."""
+    qs = range(e + 1, stop + 1, s)
+    for j in range(2, s + 1):
+        qs = list(map(mul, qs, range(e + j, stop + 1, s)))
 
     def numerator(X, P):
-        z = _gmul(X, X, P)
-        T = _rect((-z[0] % P, -z[1] % P), _hyper_blocks(qs, P), P)
-        return _gmul(T, X, P) if power else T
+        z = _gmul(X, X, P) if s == 2 else X
+        if sign < 0:
+            z = (-z[0] % P, -z[1] % P)
+        T = _rect(z, _hyper_blocks(qs, P), P)
+        return _gmul(T, X, P) if e else T
 
     return _planned_sum(x, t, ms, factorial(stop), _vp_factorial(stop, x.ctx.p), numerator)
 
@@ -309,40 +309,40 @@ def _log_value(x, stop, t, ms):
 # ---- the series ----
 
 
-def _exp_series(x):
-    """Sum x^n/n! with the factorial tail bound; works for scalars, Q_p(i)
-    elements and matrices alike."""
+def _factorial_series(x, s, e, sign):
+    """Sum (sign x^s)^k x^e / (s k + e)! with the factorial tail bound: exp
+    is (s, e, sign) = (1, 0, +1), sin (2, 1, -1) and cos (2, 0, -1).  Works
+    for scalars, Q_p(i) elements and matrices alike; matrices never plan."""
     p = x.ctx.p
     lb = x.valuation_lower_bound
-    one = _one_like(x)
-    total = one
-    term = one
+    total = term = x if e else _one_like(x)
+    if lb == INFINITE:
+        return total
+    z = x * x if s == 2 else x
 
     def tail(n):
-        return (n + 1) * lb - n // (p - 1)
+        return (n + s) * lb - (n + s - 1) // (p - 1)
 
-    n = 0
+    n = e
     while n < _MAX_TERMS:
-        n += 1
-        term = (term * x).div_int(n)
+        term = (term * z).div_int(sign * prod(range(n + 1, n + s + 1)))
+        n += s
         total = total + term
         if tail(n) >= total.known_precision:
             # digits at or beyond the tail bound would still move if more
             # terms were added; cap every component there
             return total.truncate(tail(n))
         if not isinstance(x, Mat2):
-            plan = _plan(total, term, x, n, 1, tail, _digit_sum(n, p) // (p - 1) - 1)
+            plan = _plan(total, term, z, n, s, tail, _digit_sum(n, p) // (p - 1) - 1)
             if plan:
-                return _exp_value(x, *plan)
-    raise PadicError("exp series failed to terminate")
+                return _factorial_value(x, s, e, sign, *plan)
+    raise PadicError("factorial series failed to terminate")
 
 
 def exp(x):
     """exp on the disk |x|_p <= p^-1 (where the factorial growth is beaten)."""
     _require(ConvergenceDomain.EXP_DISK, x, "exp")
-    if x.valuation_lower_bound == INFINITE:
-        return _one_like(x)
-    return _exp_series(x)
+    return _factorial_series(x, 1, 0, 1)
 
 
 def log(y):
@@ -375,48 +375,22 @@ def log(y):
     raise PadicError("log series failed to terminate")
 
 
-def _alternating(x, power):
-    """sin (power 1) or cos (power 0): the sum of (-1)^k x^(2k+power) /
-    (2k+power)!, with the factorial tail bound."""
-    _require(ConvergenceDomain.EXP_DISK, x, "sin_cos_tan")
-    p = x.ctx.p
-    lb = x.valuation_lower_bound
-    total = term = x if power else _one_like(x)
-    if lb == INFINITE:
-        return total
-    x2 = x * x
-
-    def tail(n):
-        return (n + 2) * lb - (n + 1) // (p - 1)
-
-    n = power
-    while n < _MAX_TERMS:
-        term = (term * x2).div_int(-(n + 1) * (n + 2))
-        n += 2
-        total = total + term
-        if tail(n) >= total.known_precision:
-            return total.truncate(tail(n))
-        plan = _plan(total, term, x2, n, 2, tail, _digit_sum(n, p) // (p - 1) - 1)
-        if plan:
-            return _trig_value(x, power, *plan)
-    raise PadicError("trigonometric series failed to terminate")
-
-
 def sin_cos_tan(x):
     """All three at once; cos is a unit on the disk, so tan = sin/cos is safe."""
-    sin = _alternating(x, 1)
-    cos = _alternating(x, 0)
+    s, c = sin(x), cos(x)
     if x.valuation_lower_bound == INFINITE:
-        return sin, cos, sin
-    return sin, cos, sin / cos
+        return s, c, s
+    return s, c, s / c
 
 
 def sin(x):
-    return _alternating(x, 1)
+    _require(ConvergenceDomain.EXP_DISK, x, "sin_cos_tan")
+    return _factorial_series(x, 2, 1, -1)
 
 
 def cos(x):
-    return _alternating(x, 0)
+    _require(ConvergenceDomain.EXP_DISK, x, "sin_cos_tan")
+    return _factorial_series(x, 2, 0, -1)
 
 
 def tan(x):
@@ -501,6 +475,4 @@ def matrix_exp(X):
         raise DomainError(
             "matrix_exp: every entry must have valuation >= 1 (entrywise EXP_DISK)"
         )
-    if X.valuation_lower_bound == INFINITE:
-        return Mat2.identity(X.ctx)
-    return _exp_series(X)
+    return _factorial_series(X, 1, 0, 1)

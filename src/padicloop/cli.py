@@ -16,8 +16,8 @@ from .context import PrimeContext
 from .errors import NoSolution, PadicError, ParseError
 from .expr import evaluate
 from .loop import DiskPoint, deviation, left_divide, loop_add, right_solve
-from .padic import format_padic
-from .qpi import QpiElement, format_qpi
+from .padic import format_padic, from_rational
+from .qpi import QpiElement, format_qpi, require_prime_class
 
 # work and memory grow with both, so each is bounded where input enters
 MAX_PREC = 8192
@@ -94,16 +94,8 @@ def _context(args):
     return PrimeContext(args.p, args.prec)
 
 
-def _require_field_prime(ctx, what):
-    if ctx.residue_class != 3:
-        raise PadicError(
-            f"{what} needs p = 3 (mod 4) so that Q_p(i) is a field; "
-            f"got p = {ctx.p} = {ctx.residue_class} (mod 4)"
-        )
-
-
 def _print_value(z, fmt):
-    text = format_padic(z.re) if z.im.is_exact_zero else format_qpi(z)
+    text = format_qpi(z) if isinstance(z, QpiElement) else format_padic(z)
     if fmt == "json":
         print(json.dumps({"result": text}))
     else:
@@ -127,8 +119,6 @@ def _cmd_analytic(args):
             raise ParseError("binom takes two arguments: exponent and point")
         alpha_text, x_text = args.args
         frac = Fraction(alpha_text)  # plain rational exponent, e.g. 1/2
-        from .padic import from_rational
-
         alpha = from_rational(frac.numerator, frac.denominator, ctx)
         x = _as_scalar_or_qpi(evaluate(x_text, ctx))
         result = binomial_series(alpha, x)
@@ -137,15 +127,13 @@ def _cmd_analytic(args):
             raise ParseError(f"{args.fn} takes exactly one argument")
         x = _as_scalar_or_qpi(evaluate(args.args[0], ctx))
         result = _ANALYTIC_FNS[args.fn](x)
-    if not isinstance(result, QpiElement):
-        result = QpiElement(result)
     _print_value(result, args.fmt)
     return 0
 
 
 def _cmd_loop(args):
     ctx = _context(args)
-    _require_field_prime(ctx, "the disk loop")
+    require_prime_class(ctx)
     a = DiskPoint(evaluate(args.a, ctx))
     b = DiskPoint(evaluate(args.b, ctx))
     if args.op == "rsolve":
@@ -172,7 +160,7 @@ def _cmd_loop(args):
 def _cmd_check(args):
     ctx = _context(args)
     if args.suite in checks.EXTENSION_SUITES or args.suite == "all":
-        _require_field_prime(ctx, f"the {args.suite} suite")
+        require_prime_class(ctx)
     if args.samples < 1:
         raise ParseError("--samples must be at least 1")
     if args.samples > MAX_SAMPLES:

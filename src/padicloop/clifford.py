@@ -9,7 +9,7 @@ matrix involutions of that shape.  Rotations act by conjugation through the
 projective group of matrices [[alpha, beta], [-conj(beta), conj(alpha)]].
 """
 
-from .analytic import exp, matrix_exp, sin_cos_tan
+from .analytic import cos, exp, matrix_exp, sin
 from .errors import (
     DomainError,
     IsotropicAxis,
@@ -181,19 +181,12 @@ class ProjectiveRotation:
 
     @staticmethod
     def _pivot(alpha, beta):
-        def entry_val(e):
-            v = e.valuation
-            return INFINITE if v is None else v
-
-        entry = alpha if entry_val(alpha) <= entry_val(beta) else beta
-
-        def comp_val(x):
+        def key(x):
             v = x.valuation
             return INFINITE if v is None else v
 
-        if comp_val(entry.re) <= comp_val(entry.im):
-            return entry.re
-        return entry.im
+        entry = alpha if key(alpha) <= key(beta) else beta
+        return entry.re if key(entry.re) <= key(entry.im) else entry.im
 
     @staticmethod
     def identity(ctx):
@@ -326,7 +319,7 @@ def polar_point(theta, phi):
         raise DomainError("polar_point needs theta, phi with valuation >= 1")
     ctx = theta.ctx
     two_theta = theta + theta
-    s, c, _ = sin_cos_tan(two_theta)
+    s, c = sin(two_theta), cos(two_theta)
     eiphi = exp(QpiElement(PadicNumber.exact_zero(ctx), phi))
     z = eiphi * s
     return CupPoint(Vector3(z.re, z.im, c))

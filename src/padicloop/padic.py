@@ -294,18 +294,7 @@ class PadicNumber:
         return PadicNumber(ctx, _NONZERO, v, u, r, v + r)
 
     def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return from_rational(1, 1, self.ctx) / self ** (-k)
-        result = from_rational(1, 1, self.ctx)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, from_rational(1, 1, self.ctx))
 
     # ---- structural identity (round-trip contract) ----
 
@@ -358,16 +347,34 @@ def from_int(n, ctx):
     return from_rational(n, 1, ctx)
 
 
+def power(x, k, one):
+    """x**k by square-and-multiply, for a PadicNumber or QpiElement x whose
+    field has the identity `one`; a negative k divides one by x**-k."""
+    if not isinstance(k, int):
+        return NotImplemented
+    if k < 0:
+        return one / power(x, -k, one)
+    result = one
+    while k:
+        if k & 1:
+            result = result * x
+        x = x * x
+        k >>= 1
+    return result
+
+
 def arith(op, a, b):
-    """The four field operations with the strict precision contract.
+    """The four field operations with the strict precision contract, on Q_p
+    and on Q_p(i) alike.
 
     Unlike the operators, an add/sub that cancels every tracked digit of two
     bona fide nonzero operands raises PrecisionExhausted: no digit of the
-    result is determinable, not even its being zero.
+    result is determinable, not even its being zero.  In Q_p(i) that means
+    both components cancelled.
     """
     if op == "add" or op == "sub":
         result = a + b if op == "add" else a - b
-        if result.kind == _ZERO_MOD and a.kind == _NONZERO and b.kind == _NONZERO:
+        if result.is_zero_mod and not a.is_zero and not b.is_zero:
             raise PrecisionExhausted(
                 "operands agree to their full known precision; no result digit "
                 "is determinable"

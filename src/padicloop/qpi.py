@@ -8,10 +8,12 @@ conditioned as multiplication.
 """
 
 from .errors import DivisionByZero, PadicError, ParseError, PrecisionExhausted, WrongPrimeClass
-from .padic import INFINITE, PadicNumber, format_padic, from_rational, parse_padic, vp_int
+from .padic import (
+    INFINITE, PadicNumber, arith, format_padic, from_rational, parse_padic, power, vp_int,
+)
 
 
-def _require_prime_class(ctx):
+def require_prime_class(ctx):
     if ctx.p % 4 != 3:
         raise WrongPrimeClass(
             f"p = {ctx.p} = {ctx.p % 4} (mod 4): Q_p(i) is a field only for p = 3 (mod 4)"
@@ -22,7 +24,7 @@ class QpiElement:
     __slots__ = ("re", "im")
 
     def __init__(self, re, im=None):
-        _require_prime_class(re.ctx)
+        require_prime_class(re.ctx)
         if im is None:
             im = PadicNumber.exact_zero(re.ctx, re.m)
         if re.ctx.p != im.ctx.p:
@@ -48,7 +50,6 @@ class QpiElement:
 
     @staticmethod
     def zero(ctx, m=None):
-        _require_prime_class(ctx)
         z = PadicNumber.exact_zero(ctx, m if m is not None else ctx.precision)
         return QpiElement(z, z)
 
@@ -58,7 +59,6 @@ class QpiElement:
 
     @staticmethod
     def i_unit(ctx):
-        _require_prime_class(ctx)
         return QpiElement(
             PadicNumber.exact_zero(ctx), from_rational(1, 1, ctx)
         )
@@ -76,6 +76,11 @@ class QpiElement:
     @property
     def is_exact_zero(self):
         return self.re.is_exact_zero and self.im.is_exact_zero
+
+    @property
+    def is_zero_mod(self):
+        """Both components cancelled to inexact zeros (see padic.arith)."""
+        return self.re.is_zero_mod and self.im.is_zero_mod
 
     @property
     def valuation(self):
@@ -178,18 +183,7 @@ class QpiElement:
         return QpiElement(PadicNumber.exact_zero(ctx, m), im)
 
     def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return QpiElement.one(self.ctx) / self ** (-k)
-        result = QpiElement.one(self.ctx)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, QpiElement.one(self.ctx))
 
     def __eq__(self, other):
         if not isinstance(other, QpiElement):
@@ -216,26 +210,8 @@ def _coerce(x, ctx):
     raise PadicError(f"cannot coerce {x!r} into Q_p(i)")
 
 
-def ext_arith(op, a, b):
-    """Field operations with the strict precision contract of padic.arith."""
-    if op == "add" or op == "sub":
-        result = a + b if op == "add" else a - b
-        degenerate = (
-            result.re.is_zero_mod
-            and result.im.is_zero_mod
-            and not (a.re.is_zero and a.im.is_zero)
-            and not (b.re.is_zero and b.im.is_zero)
-        )
-        if degenerate:
-            raise PrecisionExhausted(
-                "operands agree to their full known precision in both components"
-            )
-        return result
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise PadicError(f"unknown operation {op!r}")
+# one strict precision contract serves both fields
+ext_arith = arith
 
 
 def conj(z):
@@ -268,7 +244,7 @@ def parse_qpi(text, ctx):
     """Inverse of format_qpi; also accepts a lone parenthesized real part."""
     import re as _re
 
-    _require_prime_class(ctx)
+    require_prime_class(ctx)
     s = text.strip()
     # inner literals contain one paren level of their own (the O-term)
     inner = r"(?:[^()]|\([^()]*\))*"

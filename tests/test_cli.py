@@ -282,3 +282,22 @@ class TestCaps:
         assert out == ""
         assert err == f"error: ParseError: --samples must be at most {MAX_SAMPLES}\n"
         assert seen == []
+
+
+class TestPrimeClass:
+    """Every command that evaluates in Q_p(i) rejects p = 1 (mod 4) with exit
+    2, empty stdout and one error line."""
+
+    @pytest.mark.parametrize("argv", [
+        ("arith", "1/3", "--p", "5"),
+        ("analytic", "exp", "5", "--p", "5"),
+        ("loop", "add", "13", "13*i", "--p", "13"),
+        ("check", "axioms", "--p", "13", "--samples", "1"),
+    ], ids=["arith", "analytic", "loop", "check"])
+    def test_p_1_mod_4_is_an_input_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "3 (mod 4)" in err

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +18,10 @@ from padicloop import (
     from_int,
     from_rational,
 )
+from padicloop.errors import PrecisionExhausted
 from padicloop.matrix import Mat2
 from padicloop.oracles import GaussianRational, rational_to_padic_digits, rational_valuation
+from padicloop.padic import arith
 from padicloop.qpi import QpiElement, conj, ext_arith, format_qpi, norm_abs, parse_qpi
 
 C7 = PrimeContext(7, 8)
@@ -269,3 +273,58 @@ class TestLiterals:
         z = parse_qpi("(1 + O(7^8))", C7)
         assert z.re.digits() == [1]
         assert z.im.is_zero
+
+
+class TestPow:
+    """x ** k against one times |k| factors x, one over that for k < 0, field
+    for field."""
+
+    @pytest.mark.parametrize("p", [3, 7])
+    def test_matches_repeated_multiplication(self, p):
+        ctx = PrimeContext(p, 8)
+        one = QpiElement.one(ctx)
+        rng = random.Random(p)
+        points = [sample_qpi(rng, ctx) for _ in range(20)] + [
+            QpiElement.i_unit(ctx),
+            QpiElement.from_rationals(1, 1, 1, 1, ctx),  # (1 + i)^2 = 2i cancels
+            QpiElement.from_rationals(p, 2, 0, 1, ctx),
+            QpiElement.from_rationals(0, 1, 3, p, ctx),
+        ]
+        for x in points:
+            for k in range(-3, 6):
+                product = reduce(mul, [x] * abs(k), one)
+                expected = one / product if k < 0 else product
+                assert x ** k == expected, (p, k, format_qpi(x))
+
+    def test_non_integer_exponent_is_unsupported(self):
+        with pytest.raises(TypeError):
+            QpiElement.one(C7) ** 0.5
+
+
+class TestIsZeroMod:
+    def test_only_when_both_components_cancelled(self):
+        z7 = PadicNumber.zero_mod(C7, 5)
+        exact = PadicNumber.exact_zero(C7)
+        one = from_int(1, C7)
+        assert QpiElement(z7, z7).is_zero_mod
+        assert not QpiElement(z7, exact).is_zero_mod
+        assert not QpiElement(exact, z7).is_zero_mod
+        assert not QpiElement(exact, exact).is_zero_mod
+        assert not QpiElement(one, z7).is_zero_mod
+        assert not QpiElement.zero(C7).is_zero_mod
+
+    def test_cancellation_in_both_components_is_exhausted(self):
+        a = QpiElement.from_rationals(1, 3, 2, 5, C7)
+        assert (a - a).is_zero_mod
+        with pytest.raises(PrecisionExhausted):
+            ext_arith("sub", a, a)
+
+    def test_real_cancellation_keeps_the_exact_imaginary_part(self):
+        # im = 0 - 0 is exact, so the difference still has a determined digit
+        a = QpiElement(from_rational(1, 3, C7))
+        d = ext_arith("sub", a, a)
+        assert not d.is_zero_mod
+        assert d.re.is_zero_mod and d.im.is_exact_zero
+
+    def test_one_contract_for_both_fields(self):
+        assert ext_arith is arith
