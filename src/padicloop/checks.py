@@ -2,8 +2,20 @@
 
 Each suite returns a list of records {suite, property, samples, failures};
 failures carry serialized counterexamples (capped, so a broken build stays
-readable).  Child RNGs are derived from f"{seed}:{suite}:{property}" so every
-property is reproducible in isolation and insertion order never matters.
+readable).  Each property draws from its own child RNG, derived from
+f"{seed}:{suite}:{property}", so every property is reproducible in isolation
+and insertion order never matters.
+
+A property is one sample function of that RNG.  To add one, write the function
+and list it in its suite through one of two drivers:
+
+- `_sampled`: the function returns (ok, witness), and every draw counts;
+- `_certified`: the function returns (lhs, rhs, witness) for an equality, and
+  a draw whose equality is certified on too few digits is redrawn.  Only this
+  driver redraws.
+
+A witness is the counterexample text, or a zero-argument callable that builds
+it only for a recorded failure.
 """
 
 import cmath
@@ -158,6 +170,34 @@ def _run_certified(prop, samples, draw_and_tally):
         prop.tally(False, "generator could not certify enough samples")
 
 
+def _sampled(suite, name, seed, samples, case):
+    """The record of `samples` draws of case(rng) -> (ok, witness)."""
+    prop = _Prop(suite, name)
+    rng = _child_rng(seed, suite, name)
+    for _ in range(samples):
+        prop.tally(*case(rng))
+    return prop.record()
+
+
+def _certified(suite, name, seed, samples, floor, case):
+    """The record of `samples` counted draws of case(rng) -> (lhs, rhs,
+    witness), each tallied by _tally_eq with the digit floor `floor`."""
+    prop = _Prop(suite, name)
+    rng = _child_rng(seed, suite, name)
+
+    def draw_and_tally():
+        lhs, rhs, witness = case(rng)
+        return _tally_eq(prop, lhs, rhs, floor, witness)
+
+    _run_certified(prop, samples, draw_and_tally)
+    return prop.record()
+
+
+def _padic_witness(**values):
+    """The witness "x=...; y=..." naming a sample's scalar inputs."""
+    return lambda: "; ".join(f"{name}={format_padic(x)}" for name, x in values.items())
+
+
 def _digits_match(comp, frac, p):
     """PadicNumber against an exact rational, digit for digit."""
     if frac == 0:
@@ -179,35 +219,20 @@ def _qpi_matches(z, g, p):
 def run_axioms(p, prec, seed, samples):
     ctx = PrimeContext(p, prec)
     floor = max(1, prec - 4)
-    suite = "axioms"
-    out = []
-
-    prop = _Prop(suite, "identity-exact")
-    rng = _child_rng(seed, suite, prop.name)
     zero = DiskPoint.zero(ctx)
-    for _ in range(samples):
+    one = QpiElement.one(ctx)
+
+    def identity(rng):
         x = _rand_disk(rng, ctx)
         ok = loop_add(zero, x).value == x.value and loop_add(x, zero).value == x.value
-        prop.tally(ok, lambda: f"x={x.serialize()}")
-    out.append(prop.record())
+        return ok, lambda: f"x={x.serialize()}"
 
-    prop = _Prop(suite, "left-inverse")
-    rng = _child_rng(seed, suite, prop.name)
-
-    def left_inverse_case():
+    def left_inverse(rng):
         x, e = _rand_disk(rng, ctx), _rand_disk(rng, ctx)
         got = loop_add(-x, loop_add(x, e))
-        return _tally_eq(
-            prop, got.value, e.value, floor,
-            lambda: f"x={x.serialize()}; e={e.serialize()}",
-        )
+        return got.value, e.value, lambda: f"x={x.serialize()}; e={e.serialize()}"
 
-    _run_certified(prop, samples, left_inverse_case)
-    out.append(prop.record())
-
-    prop = _Prop(suite, "closure-ultrametric")
-    rng = _child_rng(seed, suite, prop.name)
-    for _ in range(samples):
+    def closure(rng):
         x = _rand_disk(rng, ctx, vmin=1, vmax=4)
         y = _rand_disk(rng, ctx, vmin=1, vmax=4)
         s = loop_add(x, y)
@@ -215,57 +240,32 @@ def run_axioms(p, prec, seed, samples):
         ok = s.value.valuation_lower_bound >= min(vx, vy)
         if vx != vy:
             ok = ok and s.value.valuation == min(vx, vy)
-        prop.tally(ok, lambda: f"x={x.serialize()}; y={y.serialize()}")
-    out.append(prop.record())
+        return ok, lambda: f"x={x.serialize()}; y={y.serialize()}"
 
-    prop = _Prop(suite, "left-divide-round-trip")
-    rng = _child_rng(seed, suite, prop.name)
-
-    def round_trip_case():
+    def round_trip(rng):
         a, b = _rand_disk(rng, ctx), _rand_disk(rng, ctx)
         there = loop_add(a, left_divide(a, b)).value
         back = left_divide(a, loop_add(a, b)).value
-        return _tally_eq(
-            prop, (there, back), (b.value, b.value), floor,
-            lambda: f"a={a.serialize()}; b={b.serialize()}",
-        )
+        return (there, back), (b.value, b.value), lambda: f"a={a.serialize()}; b={b.serialize()}"
 
-    _run_certified(prop, samples, round_trip_case)
-    out.append(prop.record())
-
-    prop = _Prop(suite, "deviation-unimodular")
-    rng = _child_rng(seed, suite, prop.name)
-    one = QpiElement.one(ctx)
-    for _ in range(samples):
+    def unimodular(rng):
         x1, x2 = _rand_disk(rng, ctx), _rand_disk(rng, ctx)
         u = deviation(x1, x2).factor
         ok = u.valuation == 0 and _eq_floor(u * u.conj(), one, floor)
-        prop.tally(ok, lambda: f"x1={x1.serialize()}; x2={x2.serialize()}")
-    out.append(prop.record())
+        return ok, lambda: f"x1={x1.serialize()}; x2={x2.serialize()}"
 
-    prop = _Prop(suite, "automorphism-law")
-    rng = _child_rng(seed, suite, prop.name)
-
-    def automorphism_case():
+    def automorphism(rng):
         d = deviation(_rand_disk(rng, ctx), _rand_disk(rng, ctx))
         x, y = _rand_disk(rng, ctx), _rand_disk(rng, ctx)
         lhs = deviation_apply(d, loop_add(x, y))
         rhs = loop_add(deviation_apply(d, x), deviation_apply(d, y))
-        return _tally_eq(
-            prop,
+        return (
             lhs.value,
             rhs.value,
-            floor,
             lambda: f"u={d.serialize()}; x={x.serialize()}; y={y.serialize()}",
         )
 
-    _run_certified(prop, samples, automorphism_case)
-    out.append(prop.record())
-
-    prop = _Prop(suite, "deviation-factorization")
-    rng = _child_rng(seed, suite, prop.name)
-
-    def factorization_case():
+    def factorization(rng):
         x1, x2 = _rand_disk(rng, ctx), _rand_disk(rng, ctx)
         lam12 = left_translation_matrix(loop_add(x1, x2))
         path = rotation_compose(
@@ -273,15 +273,18 @@ def run_axioms(p, prec, seed, samples):
             left_translation_matrix(x2),
         )
         want = deviation(x1, x2).as_rotation()
-        return _tally_eq(
-            prop, path, want, floor, lambda: f"x1={x1.serialize()}; x2={x2.serialize()}"
-        )
+        return path, want, lambda: f"x1={x1.serialize()}; x2={x2.serialize()}"
 
-    _run_certified(prop, samples, factorization_case)
-    out.append(prop.record())
-
-    out.append(_non_associativity_record(ctx))
-    return out
+    return [
+        _sampled("axioms", "identity-exact", seed, samples, identity),
+        _certified("axioms", "left-inverse", seed, samples, floor, left_inverse),
+        _sampled("axioms", "closure-ultrametric", seed, samples, closure),
+        _certified("axioms", "left-divide-round-trip", seed, samples, floor, round_trip),
+        _sampled("axioms", "deviation-unimodular", seed, samples, unimodular),
+        _certified("axioms", "automorphism-law", seed, samples, floor, automorphism),
+        _certified("axioms", "deviation-factorization", seed, samples, floor, factorization),
+        _non_associativity_record(ctx),
+    ]
 
 
 def _non_associativity_record(ctx):
@@ -329,115 +332,62 @@ def _non_associativity_record(ctx):
 def run_analytic(p, prec, seed, samples):
     ctx = PrimeContext(p, prec)
     floor = max(1, prec - 4)
-    suite = "analytic"
-    out = []
     one = from_rational(1, 1, ctx)
+    terms = 2 * prec + 12  # oracle tail far below every tracked m
+    half = Fraction(1, 2)
 
     def sample(rng, vmax=2):
         return _rand_padic(rng, ctx, 1, vmax)
 
-    def eq_property(name, case):
-        prop = _Prop(suite, name)
-        rng = _child_rng(seed, suite, name)
-        _run_certified(prop, samples, lambda: case(prop, rng))
-        out.append(prop.record())
-
-    def exp_additivity(prop, rng):
+    def exp_additivity(rng):
         x, y = sample(rng), sample(rng)
-        return _tally_eq(
-            prop, exp(x + y), exp(x) * exp(y), floor,
-            lambda: f"x={format_padic(x)}; y={format_padic(y)}",
-        )
+        return exp(x + y), exp(x) * exp(y), _padic_witness(x=x, y=y)
 
-    eq_property("exp-additivity", exp_additivity)
-
-    def log_exp_round_trip(prop, rng):
+    def log_exp(rng):
         x = sample(rng)
-        return _tally_eq(prop, log(exp(x)), x, floor, lambda: f"x={format_padic(x)}")
+        return log(exp(x)), x, _padic_witness(x=x)
 
-    eq_property("log-exp-round-trip", log_exp_round_trip)
-
-    def euler_formula(prop, rng):
+    def euler(rng):
         x = sample(rng)
         s, c = sin(x), cos(x)
         lhs = exp(QpiElement(PadicNumber.exact_zero(ctx), x))
-        return _tally_eq(
-            prop, lhs, QpiElement(c, s), floor, lambda: f"x={format_padic(x)}"
-        )
+        return lhs, QpiElement(c, s), _padic_witness(x=x)
 
-    eq_property("euler-formula", euler_formula)
-
-    def pythagoras(prop, rng):
+    def pythagoras(rng):
         x = sample(rng)
         s, c = sin(x), cos(x)
-        return _tally_eq(
-            prop, s * s + c * c, one, floor, lambda: f"x={format_padic(x)}"
-        )
+        return s * s + c * c, one, _padic_witness(x=x)
 
-    eq_property("pythagoras", pythagoras)
-
-    def sin_addition(prop, rng):
+    def sin_addition(rng):
         x, y = sample(rng), sample(rng)
         sx, cx = sin(x), cos(x)
         sy, cy = sin(y), cos(y)
-        return _tally_eq(
-            prop, sin(x + y), sx * cy + cx * sy, floor,
-            lambda: f"x={format_padic(x)}; y={format_padic(y)}",
-        )
+        return sin(x + y), sx * cy + cx * sy, _padic_witness(x=x, y=y)
 
-    eq_property("sin-addition", sin_addition)
-
-    def cos_addition(prop, rng):
+    def cos_addition(rng):
         x, y = sample(rng), sample(rng)
         sx, cx = sin(x), cos(x)
         sy, cy = sin(y), cos(y)
-        return _tally_eq(
-            prop, cos(x + y), cx * cy - sx * sy, floor,
-            lambda: f"x={format_padic(x)}; y={format_padic(y)}",
-        )
+        return cos(x + y), cx * cy - sx * sy, _padic_witness(x=x, y=y)
 
-    eq_property("cos-addition", cos_addition)
-
-    prop = _Prop(suite, "sin-absolute-value")
-    rng = _child_rng(seed, suite, prop.name)
-    for _ in range(samples):
+    def sin_absolute(rng):
         x = sample(rng)
-        prop.tally(sin(x).valuation == x.valuation, lambda: f"x={format_padic(x)}")
-    out.append(prop.record())
+        return sin(x).valuation == x.valuation, _padic_witness(x=x)
 
-    prop = _Prop(suite, "cos-absolute-value")
-    rng = _child_rng(seed, suite, prop.name)
-    for _ in range(samples):
+    def cos_absolute(rng):
         x = sample(rng)
-        prop.tally(cos(x).valuation == 0, lambda: f"x={format_padic(x)}")
-    out.append(prop.record())
+        return cos(x).valuation == 0, _padic_witness(x=x)
 
-    prop = _Prop(suite, "sin-isometry")
-    rng = _child_rng(seed, suite, prop.name)
-    for _ in range(samples):
+    def sin_isometry(rng):
         x = sample(rng, vmax=3)
         y = sample(rng, vmax=3)
         while (x - y).valuation is None:
             y = sample(rng, vmax=3)
-        prop.tally(
-            (sin(x) - sin(y)).valuation == (x - y).valuation,
-            lambda: f"x={format_padic(x)}; y={format_padic(y)}",
-        )
-    out.append(prop.record())
+        return (sin(x) - sin(y)).valuation == (x - y).valuation, _padic_witness(x=x, y=y)
 
-    out.append(_analytic_oracle_record(ctx, seed, min(samples, 50)))
-    return out
-
-
-def _analytic_oracle_record(ctx, seed, samples):
-    """Every series-backed function against exact-rational partial sums,
-    digit for digit at the tracked precision."""
-    p = ctx.p
-    terms = 2 * ctx.precision + 12  # oracle tail far below every tracked m
-    prop = _Prop("analytic", "oracle-digits")
-    rng = _child_rng(seed, "analytic", prop.name)
-    half = Fraction(1, 2)
-    for _ in range(samples):
+    def oracle_digits(rng):
+        """Every series-backed function against exact-rational partial sums,
+        digit for digit at the tracked precision."""
         q = _rand_disk_fraction(rng, p)
         x = from_rational(q.numerator, q.denominator, ctx)
         gx = GaussianRational(q)
@@ -455,8 +405,20 @@ def _analytic_oracle_record(ctx, seed, samples):
             ),
         ]
         bad = [name for name, got, want in checks if not _digits_match(got, want.re, p)]
-        prop.tally(not bad, lambda: f"x={q}; functions={','.join(bad)}")
-    return prop.record()
+        return not bad, lambda: f"x={q}; functions={','.join(bad)}"
+
+    return [
+        _certified("analytic", "exp-additivity", seed, samples, floor, exp_additivity),
+        _certified("analytic", "log-exp-round-trip", seed, samples, floor, log_exp),
+        _certified("analytic", "euler-formula", seed, samples, floor, euler),
+        _certified("analytic", "pythagoras", seed, samples, floor, pythagoras),
+        _certified("analytic", "sin-addition", seed, samples, floor, sin_addition),
+        _certified("analytic", "cos-addition", seed, samples, floor, cos_addition),
+        _sampled("analytic", "sin-absolute-value", seed, samples, sin_absolute),
+        _sampled("analytic", "cos-absolute-value", seed, samples, cos_absolute),
+        _sampled("analytic", "sin-isometry", seed, samples, sin_isometry),
+        _sampled("analytic", "oracle-digits", seed, min(samples, 50), oracle_digits),
+    ]
 
 
 # ---- clifford suite ----
@@ -475,45 +437,30 @@ def _rand_axis(rng, ctx):
 
 def run_clifford(p, prec, seed, samples):
     ctx = PrimeContext(p, prec)
-    suite = "clifford"
-    out = []
     ident = Mat2.identity(ctx)
+    two = from_rational(2, 1, ctx)
+    i_unit = QpiElement.i_unit(ctx)
 
-    prop = _Prop(suite, "pauli-square")
-    rng = _child_rng(seed, suite, prop.name)
-    for _ in range(samples):
+    def pauli_square(rng):
         v = _rand_vector(rng, ctx)
         M = iota(v)
-        prop.tally(
-            (M * M).eq_to(ident.scale(quadratic_form(v, v))),
-            lambda: f"v={v.serialize()}",
-        )
-    out.append(prop.record())
+        return (M * M).eq_to(ident.scale(quadratic_form(v, v))), lambda: f"v={v.serialize()}"
 
-    prop = _Prop(suite, "anticommutation")
-    rng = _child_rng(seed, suite, prop.name)
-    two = from_rational(2, 1, ctx)
-    for _ in range(samples):
+    def anticommutation(rng):
         u, v = _rand_vector(rng, ctx), _rand_vector(rng, ctx)
         lhs = iota(u) * iota(v) + iota(v) * iota(u)
         rhs = ident.scale(two * quadratic_form(u, v))
-        prop.tally(lhs.eq_to(rhs), lambda: f"u={u.serialize()}; v={v.serialize()}")
-    out.append(prop.record())
+        return lhs.eq_to(rhs), lambda: f"u={u.serialize()}; v={v.serialize()}"
 
-    prop = _Prop(suite, "reflection-conjugation")
-    rng = _child_rng(seed, suite, prop.name)
-    for _ in range(samples):
+    def reflection(rng):
         u = _rand_axis(rng, ctx)
         v = _rand_vector(rng, ctx)
         lhs = iota(reflect(u, v))
         U = iota(u)
         rhs = -(U * iota(v) * U.inverse())
-        prop.tally(lhs.eq_to(rhs), lambda: f"u={u.serialize()}; v={v.serialize()}")
-    out.append(prop.record())
+        return lhs.eq_to(rhs), lambda: f"u={u.serialize()}; v={v.serialize()}"
 
-    prop = _Prop(suite, "double-reflection-rotation")
-    rng = _child_rng(seed, suite, prop.name)
-    for _ in range(samples):
+    def double_reflection(rng):
         u, w = _rand_axis(rng, ctx), _rand_axis(rng, ctx)
         v = _rand_vector(rng, ctx)
         image = reflect(u, reflect(w, v))
@@ -522,36 +469,24 @@ def run_clifford(p, prec, seed, samples):
             ProjectiveRotation.from_clifford_product(u, w)
         except PadicError:
             ok = False
-        prop.tally(
-            ok, lambda: f"u={u.serialize()}; w={w.serialize()}; v={v.serialize()}"
-        )
-    out.append(prop.record())
+        return ok, lambda: f"u={u.serialize()}; w={w.serialize()}; v={v.serialize()}"
 
-    prop = _Prop(suite, "chart-round-trip")
-    rng = _child_rng(seed, suite, prop.name)
-    for _ in range(samples):
+    def chart(rng):
         xi = _rand_disk(rng, ctx).value
         P = lift(xi)
         ok = stereo(P, "cup").eq_to(xi)
         ok = ok and lift(stereo(P, "cup")).vec.eq_to(P.vec)
-        prop.tally(ok, lambda: f"xi={format_qpi(xi)}")
-    out.append(prop.record())
+        return ok, lambda: f"xi={format_qpi(xi)}"
 
-    prop = _Prop(suite, "polar-chart-value")
-    rng = _child_rng(seed, suite, prop.name)
-    i_unit = QpiElement.i_unit(ctx)
-    for _ in range(samples):
+    def polar(rng):
         theta = _rand_padic(rng, ctx, 1, 3)
         phi = _rand_padic(rng, ctx, 1, 3)
         psi = stereo(polar_point(theta, phi), "cup")
         _s, _c, t = sin_cos_tan(theta)
         ok = psi.eq_to(exp(i_unit * phi) * t) and psi.valuation == theta.valuation
-        prop.tally(ok, lambda: f"theta={format_padic(theta)}; phi={format_padic(phi)}")
-    out.append(prop.record())
+        return ok, _padic_witness(theta=theta, phi=phi)
 
-    prop = _Prop(suite, "equivariance")
-    rng = _child_rng(seed, suite, prop.name)
-    for _ in range(max(1, samples // 5)):
+    def equivariance(rng):
         a = _rand_padic(rng, ctx, 1, 2)
         beta = QpiElement(_rand_padic(rng, ctx, 1, 2), _rand_padic(rng, ctx, 1, 2))
         R = rotation_compose(exp_vertical(a), exp_horizontal(beta))
@@ -559,14 +494,20 @@ def run_clifford(p, prec, seed, samples):
         P = lift(xi)
         lhs = stereo(rotation_act(R, P), "cup")
         rhs = mobius_action(R, xi)
-        prop.tally(
+        return (
             lhs.eq_to(rhs),
-            lambda: (
-                f"a={format_padic(a)}; beta={format_qpi(beta)}; xi={format_qpi(xi)}"
-            ),
+            lambda: f"a={format_padic(a)}; beta={format_qpi(beta)}; xi={format_qpi(xi)}",
         )
-    out.append(prop.record())
-    return out
+
+    return [
+        _sampled("clifford", "pauli-square", seed, samples, pauli_square),
+        _sampled("clifford", "anticommutation", seed, samples, anticommutation),
+        _sampled("clifford", "reflection-conjugation", seed, samples, reflection),
+        _sampled("clifford", "double-reflection-rotation", seed, samples, double_reflection),
+        _sampled("clifford", "chart-round-trip", seed, samples, chart),
+        _sampled("clifford", "polar-chart-value", seed, samples, polar),
+        _sampled("clifford", "equivariance", seed, max(1, samples // 5), equivariance),
+    ]
 
 
 # ---- oracle suite (kernel digits plus the Archimedean model) ----
@@ -574,22 +515,16 @@ def run_clifford(p, prec, seed, samples):
 
 def run_oracle(p, prec, seed, samples):
     ctx = PrimeContext(p, prec)
-    suite = "oracle"
-    out = []
+    ext = ctx.residue_class == 3  # Q_p(i) literals only exist when it is a field
 
-    prop = _Prop(suite, "rational-digit-agreement")
-    rng = _child_rng(seed, suite, prop.name)
-    for _ in range(samples):
+    def rational_digits(rng):
         num = rng.randint(-10**6, 10**6)
         den = rng.randint(1, 10**4)
         x = from_rational(num, den, ctx)
         q = Fraction(num, den)
-        prop.tally(_digits_match(x, q, p), lambda: f"q={q}")
-    out.append(prop.record())
+        return _digits_match(x, q, p), lambda: f"q={q}"
 
-    prop = _Prop(suite, "sqrt-round-trip")
-    rng = _child_rng(seed, suite, prop.name)
-    for _ in range(samples):
+    def sqrt_round_trip(rng):
         num = rng.randint(1, 10**4) * rng.choice([-1, 1])
         den = rng.randint(1, 10**3)
         x = from_rational(num, den, ctx)
@@ -601,13 +536,9 @@ def run_oracle(p, prec, seed, samples):
             while want and want[-1] == 0:  # digits() trims trailing zeros
                 want.pop()
             ok = want is not None and s.digits() == want
-        prop.tally(ok, lambda: f"q=({num}/{den})^2")
-    out.append(prop.record())
+        return ok, lambda: f"q=({num}/{den})^2"
 
-    prop = _Prop(suite, "parse-format-round-trip")
-    rng = _child_rng(seed, suite, prop.name)
-    ext = ctx.residue_class == 3  # Q_p(i) literals only exist when it is a field
-    for _ in range(samples):
+    def parse_format(rng):
         num = rng.randint(-10**6, 10**6)
         den = rng.randint(1, 10**4)
         x = from_rational(num, den, ctx)
@@ -615,55 +546,52 @@ def run_oracle(p, prec, seed, samples):
         if ext:
             z = QpiElement(x, from_rational(den, max(1, abs(num)), ctx))
             ok = ok and parse_qpi(format_qpi(z), ctx) == z
-        prop.tally(ok, lambda: f"q={num}/{den}")
-    out.append(prop.record())
+        return ok, lambda: f"q={num}/{den}"
 
-    out.extend(run_float_checks(seed, samples))
-    return out
+    return [
+        _sampled("oracle", "rational-digit-agreement", seed, samples, rational_digits),
+        _sampled("oracle", "sqrt-round-trip", seed, samples, sqrt_round_trip),
+        _sampled("oracle", "parse-format-round-trip", seed, samples, parse_format),
+        *run_float_checks(seed, samples),
+    ]
 
 
 def run_float_checks(seed, samples):
     """Archimedean model of the same loop: formula-level identities in doubles,
     inputs kept 0.1 away from the pole."""
-    suite = "oracle"
-    out = []
     tol = 1e-12
 
-    def rand_point(rng_):
-        r = rng_.uniform(0.0, 0.9)
-        t = rng_.uniform(0.0, 2.0 * cmath.pi)
+    def rand_point(rng):
+        r = rng.uniform(0.0, 0.9)
+        t = rng.uniform(0.0, 2.0 * cmath.pi)
         return r * cmath.exp(1j * t)
 
-    prop = _Prop(suite, "float-identity")
-    rng = _child_rng(seed, suite, prop.name)
-    for _ in range(samples):
+    def identity(rng):
         b = rand_point(rng)
         ok = (
             abs(complex_float_loop(0.0, b) - b) < tol
             and abs(complex_float_loop(b, 0.0) - b) < tol
         )
-        prop.tally(ok, lambda: f"b={b!r}")
-    out.append(prop.record())
+        return ok, lambda: f"b={b!r}"
 
-    prop = _Prop(suite, "float-left-inverse")
-    rng = _child_rng(seed, suite, prop.name)
-    for _ in range(samples):
+    def left_inverse(rng):
         a, b = rand_point(rng), rand_point(rng)
         got = complex_float_loop(-a, complex_float_loop(a, b))
-        prop.tally(abs(got - b) < tol, lambda: f"a={a!r}; b={b!r}")
-    out.append(prop.record())
+        return abs(got - b) < tol, lambda: f"a={a!r}; b={b!r}"
 
-    prop = _Prop(suite, "float-automorphism")
-    rng = _child_rng(seed, suite, prop.name)
-    for _ in range(samples):
+    def automorphism(rng):
         a, b = rand_point(rng), rand_point(rng)
         x, y = rand_point(rng), rand_point(rng)
         u = (1 - a * b.conjugate()) / (1 - a.conjugate() * b)
         lhs = u * complex_float_loop(x, y)
         rhs = complex_float_loop(u * x, u * y)
-        prop.tally(abs(lhs - rhs) < tol, lambda: f"a={a!r}; b={b!r}; x={x!r}; y={y!r}")
-    out.append(prop.record())
-    return out
+        return abs(lhs - rhs) < tol, lambda: f"a={a!r}; b={b!r}; x={x!r}; y={y!r}"
+
+    return [
+        _sampled("oracle", "float-identity", seed, samples, identity),
+        _sampled("oracle", "float-left-inverse", seed, samples, left_inverse),
+        _sampled("oracle", "float-automorphism", seed, samples, automorphism),
+    ]
 
 
 _SUITES = {
@@ -678,9 +606,5 @@ EXTENSION_SUITES = ("axioms", "analytic", "clifford")
 
 
 def run_suite(name, p, prec, seed, samples):
-    if name == "all":
-        records = []
-        for key in ("axioms", "analytic", "clifford", "oracle"):
-            records.extend(_SUITES[key](p, prec, seed, samples))
-        return records
-    return _SUITES[name](p, prec, seed, samples)
+    runs = _SUITES.values() if name == "all" else [_SUITES[name]]
+    return [record for run in runs for record in run(p, prec, seed, samples)]

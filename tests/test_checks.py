@@ -1,13 +1,21 @@
 """Suite-runner contracts: determinism, record shape, honest skip semantics."""
 
+import json
+import sys
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
+from padicloop import checks
 from padicloop.checks import (
     EXTENSION_SUITES,
     _Prop,
     _run_certified,
     _tally_eq,
     _tracked,
+    run_analytic,
+    run_axioms,
     run_float_checks,
     run_suite,
 )
@@ -134,3 +142,69 @@ class TestTallyPairs:
         one = QpiElement.one(C7)
         rotation = ProjectiveRotation(one, QpiElement(PadicNumber.exact_zero(C7)))
         assert _tracked(rotation) == _tracked(rotation.alpha)
+
+
+# ---- pins of the sampled streams ----
+#
+# checks_witness_golden.json holds every record of `run_suite("all", p, 4,
+# 0, 2)` for p = 7 and 3, except the exhaustive non-associativity search
+# (cli_golden.json pins that one), with `_Prop.tally` forced to record the
+# witness of every sample.  Each witness is built from the drawn sample, so
+# a change to any property's RNG stream, draw order or witness text fails
+# here.
+#
+# Regenerate (only when a sampled stream is meant to change):
+#     PYTHONPATH=src python tests/test_checks.py --write
+
+WITNESS_GOLDEN = Path(__file__).with_name("checks_witness_golden.json")
+
+
+def _record_every_witness(self, ok, witness):
+    self.samples += 1
+    self.failures.append(witness() if callable(witness) else witness)
+
+
+def witness_records(p):
+    return [
+        rec for rec in run_suite("all", p, 4, 0, 2)
+        if rec["property"] != "non-associativity-witness"
+    ]
+
+
+@pytest.mark.parametrize("p", [7, 3])
+def test_every_witness_is_pinned(monkeypatch, p):
+    monkeypatch.setattr(_Prop, "tally", _record_every_witness)
+    golden = json.loads(WITNESS_GOLDEN.read_text())
+    assert witness_records(p) == golden[str(p)]
+
+
+@pytest.mark.parametrize("p, prec, redrawn", [
+    (3, 24, {"deviation-factorization": 1}),
+    (3, 12, {"automorphism-law": 2}),
+    (7, 8, {}),
+])
+def test_certified_redraws_are_pinned(monkeypatch, p, prec, redrawn):
+    # only the axioms and analytic suites have certified properties
+    draws = Counter()
+    real = checks._run_certified
+
+    def counting(prop, samples, draw_and_tally):
+        def draw():
+            draws[prop.name] += 1
+            return draw_and_tally()
+
+        real(prop, samples, draw)
+
+    monkeypatch.setattr(checks, "_run_certified", counting)
+    records = run_axioms(p, prec, 0, 100) + run_analytic(p, prec, 0, 100)
+    assert all(rec["failures"] == [] for rec in records)
+    assert len(draws) == 10
+    assert {name: n - 100 for name, n in draws.items() if n != 100} == redrawn
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_checks.py --write")
+    _Prop.tally = _record_every_witness
+    golden = {str(p): witness_records(p) for p in (7, 3)}
+    WITNESS_GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
