@@ -41,9 +41,6 @@ class Vector3:
     def ctx(self):
         return self.a.ctx
 
-    def __add__(self, other):
-        return Vector3(self.a + other.a, self.b + other.b, self.c + other.c)
-
     def __sub__(self, other):
         return Vector3(self.a - other.a, self.b - other.b, self.c - other.c)
 
@@ -136,6 +133,14 @@ class SpherePoint:
         return f"{type(self).__name__}{self.serialize()}"
 
 
+def _require_cup(vec):
+    """The cup bound ||vec - sigma_z|| <= 1/p (sup-norm on coordinates)."""
+    dc = vec.c - from_int(1, vec.ctx)
+    for comp in (vec.a, vec.b, dc):
+        if comp.valuation_lower_bound < 1:
+            raise OutsideDisk("point is farther than 1/p from the pole")
+
+
 class CupPoint(SpherePoint):
     """Sphere point with ||P - sigma_z|| <= 1/p (sup-norm on coordinates)."""
 
@@ -143,10 +148,7 @@ class CupPoint(SpherePoint):
 
     def __init__(self, vec):
         super().__init__(vec)
-        dc = vec.c - from_int(1, vec.ctx)
-        for comp in (vec.a, vec.b, dc):
-            if comp.valuation_lower_bound < 1:
-                raise OutsideDisk("point is farther than 1/p from the pole")
+        _require_cup(vec)
 
 
 def sigma_z(ctx):
@@ -218,22 +220,11 @@ class ProjectiveRotation:
     def matrix(self):
         return Mat2(self.alpha, self.beta, -self.beta.conj(), self.alpha.conj())
 
-    def compose(self, other):
-        a1, b1 = self.alpha, self.beta
-        a2, b2 = other.alpha, other.beta
-        return ProjectiveRotation(
-            a1 * a2 - b1 * b2.conj(),
-            a1 * b2 + b1 * a2.conj(),
-        )
-
     def inverse(self):
         # the adjugate [[conj(alpha), -beta], [conj(beta), alpha]] is again of
         # rotation shape and differs from the true inverse by the real
         # determinant, which the projective class absorbs
         return ProjectiveRotation(self.alpha.conj(), -self.beta)
-
-    def __mul__(self, other):
-        return self.compose(other)
 
     def eq_to(self, other, m_cap=None):
         return self.alpha.eq_to(other.alpha, m_cap) and self.beta.eq_to(other.beta, m_cap)
@@ -246,7 +237,9 @@ class ProjectiveRotation:
 
 
 def rotation_compose(R, S):
-    return R.compose(S)
+    a1, b1 = R.alpha, R.beta
+    a2, b2 = S.alpha, S.beta
+    return ProjectiveRotation(a1 * a2 - b1 * b2.conj(), a1 * b2 + b1 * a2.conj())
 
 
 def conjugate_matrix(R, M):
@@ -283,7 +276,7 @@ def stereo(P, pole="cup"):
     vec = P.vec
     one = from_int(1, vec.ctx)
     if pole == "cup":
-        P.as_cup()
+        _require_cup(vec)
         den = one + vec.c
     elif pole == "north":
         den = one + vec.c
@@ -344,30 +337,3 @@ def exp_horizontal(beta):
     E = matrix_exp(Mat2(z, beta, -beta.conj(), z))
     return ProjectiveRotation.from_matrix(E)
 
-
-class TangentSplit:
-    """The sigma_z-based splitting of small tangent directions: a vertical
-    diagonal part diag(ia, -ia) and a horizontal anti-diagonal part
-    [[0, beta], [-conj(beta), 0]], both entrywise in the exp disk."""
-
-    __slots__ = ("a", "beta", "vertical", "horizontal")
-
-    def __init__(self, a, beta):
-        if a.valuation_lower_bound < 1:
-            raise DomainError("vertical part needs a with valuation >= 1")
-        if beta.valuation_lower_bound < 1:
-            raise DomainError("horizontal part needs beta with valuation >= 1")
-        ctx = a.ctx
-        ia = QpiElement(PadicNumber.exact_zero(ctx), a)
-        z = QpiElement.zero(ctx)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "vertical", Mat2.diag(ia, -ia))
-        object.__setattr__(self, "horizontal", Mat2(z, beta, -beta.conj(), z))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TangentSplit is immutable")
-
-    def section(self):
-        """The rotation pair (exp of vertical, exp of horizontal)."""
-        return exp_vertical(self.a), exp_horizontal(self.beta)

@@ -18,7 +18,7 @@ adds.
 
 from .clifford import ProjectiveRotation, lift, polar_point, stereo
 from .errors import DomainError, NoSolution, OutsideDisk
-from .padic import PadicNumber, from_int
+from .padic import from_int
 from .qpi import QpiElement, format_qpi
 
 
@@ -52,14 +52,6 @@ class DiskPoint:
 
     def eq_to(self, other, m_cap=None):
         return self.value.eq_to(other.value, m_cap)
-
-    def __eq__(self, other):
-        if not isinstance(other, DiskPoint):
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self):
-        return hash(("DiskPoint", self.value))
 
     def serialize(self):
         return format_qpi(self.value)

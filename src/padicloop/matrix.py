@@ -1,7 +1,7 @@
 """2x2 matrices over Q_p(i): the carrier for Pauli vectors, rotations and
 left-translation representatives."""
 
-from .errors import DivisionByZero, PadicError, PrecisionExhausted
+from .errors import DivisionByZero, PrecisionExhausted
 from .qpi import QpiElement
 
 
@@ -40,21 +40,13 @@ class Mat2:
     def __add__(self, other):
         return Mat2(*(a + b for a, b in zip(self.entries(), other.entries())))
 
-    def __sub__(self, other):
-        return Mat2(*(a - b for a, b in zip(self.entries(), other.entries())))
-
     def __neg__(self):
         return Mat2(*(-a for a in self.entries()))
 
     def __mul__(self, other):
-        if isinstance(other, Mat2):
-            a, b, c, d = self.entries()
-            e, f, g, h = other.entries()
-            return Mat2(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+        a, b, c, d = self.entries()
+        e, f, g, h = other.entries()
+        return Mat2(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
     def scale(self, s):
         return Mat2(*(a * s for a in self.entries()))
@@ -97,11 +89,6 @@ class Mat2:
         return all(
             a.eq_to(b, m_cap) for a, b in zip(self.entries(), other.entries())
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        return self.entries() == other.entries()
 
     def __repr__(self):
         return f"Mat2[[{self.m11}, {self.m12}], [{self.m21}, {self.m22}]]"

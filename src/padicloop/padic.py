@@ -180,10 +180,6 @@ class PadicNumber:
 
     # ---- arithmetic (tolerant: inexact zeros flow through) ----
 
-    def _check(self, other):
-        if self.ctx.p != other.ctx.p:
-            raise PadicError("mixed primes")
-
     def __neg__(self):
         if self.kind != _NONZERO:
             return self
@@ -192,7 +188,10 @@ class PadicNumber:
         )
 
     def __add__(self, other):
-        self._check(other)
+        if not isinstance(other, PadicNumber):
+            return NotImplemented
+        if self.ctx.p != other.ctx.p:
+            raise PadicError("mixed primes")
         a, b = self, other
         if a.kind == _EXACT_ZERO:
             return b
@@ -223,7 +222,10 @@ class PadicNumber:
         return self + (-other)
 
     def __mul__(self, other):
-        self._check(other)
+        if not isinstance(other, PadicNumber):
+            return NotImplemented
+        if self.ctx.p != other.ctx.p:
+            raise PadicError("mixed primes")
         a, b = self, other
         if a.kind != _NONZERO or b.kind != _NONZERO:
             if a.kind == _NONZERO:
@@ -241,7 +243,10 @@ class PadicNumber:
         )
 
     def __truediv__(self, other):
-        self._check(other)
+        if not isinstance(other, PadicNumber):
+            return NotImplemented
+        if self.ctx.p != other.ctx.p:
+            raise PadicError("mixed primes")
         a, b = self, other
         if b.kind == _EXACT_ZERO:
             raise DivisionByZero("division by exact zero")
@@ -420,14 +425,12 @@ def _sqrt_mod_p(a, p):
     return x
 
 
-def sqrt(a, ctx=None):
+def sqrt(a):
     """Canonical square root: the branch whose leading digit is <= (p-1)/2.
 
     Newton lifting on the unit part doubles the correct digits each pass, so
     the cost is a handful of modular multiplications at full width.
     """
-    if ctx is None:
-        ctx = a.ctx
     if a.kind == _EXACT_ZERO:
         return a
     if a.kind == _ZERO_MOD:
@@ -436,6 +439,7 @@ def sqrt(a, ctx=None):
         )
     if a.v % 2 != 0:
         raise NonSquare(f"odd valuation {a.v}")
+    ctx = a.ctx
     p = ctx.p
     x0 = _sqrt_mod_p(a.unit, p)
     if x0 is None or x0 == 0:

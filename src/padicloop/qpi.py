@@ -168,6 +168,9 @@ class QpiElement:
         inv = self.ctx.inv_mod(n.unit % self.ctx.pow(r), r) if r else None
         return QpiElement(c.re.quotient(n, inv), c.im.quotient(n, inv))
 
+    def __rtruediv__(self, other):
+        return _coerce(other, self.ctx) / self
+
     def div_int(self, n):
         """Division by a nonzero integer, component by component; the same
         result as self / n with n coerced into Q_p(i)."""

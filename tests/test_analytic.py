@@ -417,3 +417,76 @@ class TestOracleAgreementBulk:
                 assert log(one_plus).eq_to(
                     frac_to_padic(series_partial_sum("log1p", g, 45).re, ctx)
                 )
+
+
+# ---- digit-for-digit agreement with the exact partial sums ----
+
+ORACLE_PRIMES = (3, 7, 11)
+ORACLE_PRECISIONS = (1, 4, 16, 32)
+BINOMIAL_ALPHAS = (Fraction(1, 2), Fraction(-3), Fraction(2), Fraction(-5, 7))
+
+
+def rand_disk_rational(rng, p, gaussian):
+    """A Gaussian rational whose nonzero parts are p^e * num/den, e in [1, 3];
+    the imaginary part is 0 unless `gaussian`, and sometimes 0 even then."""
+
+    def part():
+        num = rng.choice([-1, 1]) * rng.choice([k for k in range(1, 60) if k % p])
+        den = rng.choice([k for k in range(1, 60) if k % p])
+        return Fraction(num, den) * p ** rng.randint(1, 3)
+
+    im = part() if gaussian and rng.random() < 0.85 else Fraction(0)
+    return GaussianRational(part(), im)
+
+
+def to_kernel(g, ctx, gaussian):
+    re = frac_to_padic(g.re, ctx)
+    return QpiElement(re, frac_to_padic(g.im, ctx)) if gaussian else re
+
+
+def assert_digits_match(got, want, p, where):
+    """Every digit `got` claims, up to its m, is the exact rational's digit."""
+    parts = (got.re, got.im) if isinstance(got, QpiElement) else (got,)
+    for a, q in zip(parts, (want.re, want.im)):
+        if a.is_exact_zero:
+            assert q == 0, where
+        elif a.is_zero:
+            assert q == 0 or rational_valuation(q, p) >= a.m, where
+        else:
+            assert q != 0 and rational_valuation(q, p) == a.v, where
+            digits = rational_to_padic_digits(q, p, a.r)
+            assert digits + [0] * (a.r - len(digits)) == a.unit_digits(), where
+
+
+def oracle_grid(seed, p, n):
+    """Eight real and eight Gaussian points, alternating."""
+    rng = random.Random(seed * 1000 + p * 100 + n)
+    for k in range(16):
+        gaussian = k % 2 == 1
+        yield rand_disk_rational(rng, p, gaussian), gaussian
+
+
+class TestOracleDigits:
+    @pytest.mark.parametrize("n", ORACLE_PRECISIONS)
+    @pytest.mark.parametrize("p", ORACLE_PRIMES)
+    def test_tan_against_sin_over_cos(self, p, n):
+        ctx = PrimeContext(p, n)
+        terms = 2 * n + 12
+        for g, gaussian in oracle_grid(1070, p, n):
+            want = series_partial_sum("sin", g, terms) / series_partial_sum("cos", g, terms)
+            got = tan(to_kernel(g, ctx, gaussian))
+            assert_digits_match(got, want, p, f"tan({g}) at p={p}, N={n}: {got}")
+
+    @pytest.mark.parametrize(
+        "alpha, p",
+        [(a, p) for a in BINOMIAL_ALPHAS for p in ORACLE_PRIMES if a.denominator % p],
+    )
+    @pytest.mark.parametrize("n", ORACLE_PRECISIONS)
+    def test_binomial_against_partial_sum(self, n, alpha, p):
+        ctx = PrimeContext(p, n)
+        terms = 2 * n + 12
+        for g, gaussian in oracle_grid(1071, p, n):
+            want = series_partial_sum("binomial", g, terms, alpha=alpha)
+            got = binomial_series(frac_to_padic(alpha, ctx), to_kernel(g, ctx, gaussian))
+            where = f"binomial({alpha}, {g}) at p={p}, N={n}: {got}"
+            assert_digits_match(got, want, p, where)

@@ -10,7 +10,6 @@ from padicloop.clifford import (
     CupPoint,
     ProjectiveRotation,
     SpherePoint,
-    TangentSplit,
     Vector3,
     conjugate_matrix,
     exp_horizontal,
@@ -511,25 +510,6 @@ class TestExpSplit:
             exp_vertical(from_int(1, C7))
         with pytest.raises(DomainError):
             exp_horizontal(QpiElement.one(C7))
-
-    def test_tangent_split_shapes(self):
-        a = from_int(7, C7)
-        beta = QpiElement(from_int(7, C7), from_int(14, C7))
-        ts = TangentSplit(a, beta)
-        assert ts.vertical.m12.is_zero and ts.vertical.m21.is_zero
-        assert ts.vertical.m11.re.is_zero
-        assert (ts.vertical.m11 + ts.vertical.m22).is_zero
-        assert ts.horizontal.m11.is_zero and ts.horizontal.m22.is_zero
-        assert (ts.horizontal.m21 + ts.horizontal.m12.conj()).is_zero
-        V, H = ts.section()
-        assert rotation_act(V, sigma_z(C7)).eq_to(sigma_z(C7))
-        rotation_act(H, sigma_z(C7)).as_cup()
-
-    def test_tangent_split_rejects_units(self):
-        with pytest.raises(DomainError):
-            TangentSplit(from_int(1, C7), QpiElement.zero(C7))
-        with pytest.raises(DomainError):
-            TangentSplit(from_int(7, C7), QpiElement.one(C7))
 
 
 class TestEquivariance:

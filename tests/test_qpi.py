@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from functools import reduce
-from operator import mul
+from operator import add, mul, sub, truediv
 
 import pytest
 from hypothesis import given, settings
@@ -328,3 +328,35 @@ class TestIsZeroMod:
 
     def test_one_contract_for_both_fields(self):
         assert ext_arith is arith
+
+
+class TestMixedScalarOperands:
+    """A Q_p scalar on the left of a Q_p(i) value is promoted to Q_p(i)."""
+
+    OPS = {"+": add, "-": sub, "*": mul, "/": truediv}
+
+    @pytest.mark.parametrize("p", (3, 7))
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_scalar_op_qpi_is_the_promoted_op(self, op, p):
+        fn = self.OPS[op]
+        ctx = PrimeContext(p, 8)
+        rng = random.Random(4100 + p)
+        zero = PadicNumber.exact_zero(ctx)
+        scalars = [zero] + [sample_qpi(rng, ctx).re for _ in range(6)]
+        values = [QpiElement.zero(ctx)]
+        for _ in range(6):
+            z = sample_qpi(rng, ctx)
+            values += [z, QpiElement(z.re, zero), QpiElement(zero, z.im)]
+        for x in scalars:
+            for z in values:
+                if op == "/" and z.is_exact_zero:
+                    continue
+                got, want = fn(x, z), fn(QpiElement(x), z)
+                assert got == want, f"{x} {op} {z}: {got} != {want}"
+
+    def test_scalar_with_int_is_a_type_error(self):
+        x = from_int(1, C7)
+        with pytest.raises(TypeError):
+            x + 1
+        with pytest.raises(TypeError):
+            x * 1
