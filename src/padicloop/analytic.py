@@ -349,12 +349,9 @@ def log(y):
     """log on 1 + LOG_DISK: y = 1 + x with |x|_p < 1."""
     x = y - _one_like(y)
     _require(ConvergenceDomain.LOG_DISK, x, "log")
-    ctx = x.ctx
-    p = ctx.p
+    p = x.ctx.p
+    # y - 1 is never an exact zero, so lb is finite
     lb = x.valuation_lower_bound
-    if lb == INFINITE:
-        z = PadicNumber.exact_zero(ctx)
-        return QpiElement(z, z) if isinstance(y, QpiElement) else z
 
     def tail(n):
         return (n + 1) * lb - _ilog(n + 1, p)
@@ -454,15 +451,12 @@ def binomial_series(alpha, x):
     lb = x.valuation_lower_bound
     if lb == INFINITE:
         return one
-    total = one
-    c = from_rational(1, 1, ctx)
-    xn = one
+    total = term = one
     n = 0
     while n < _MAX_TERMS:
         n += 1
-        c = (c * (alpha - from_rational(n - 1, 1, ctx))).div_int(n)
-        xn = xn * x
-        total = total + xn * c
+        term = (term * x * (alpha - from_rational(n - 1, 1, ctx))).div_int(n)
+        total = total + term
         tail = (n + 1) * lb
         if tail >= total.known_precision:
             return total.truncate(tail)

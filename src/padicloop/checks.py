@@ -515,7 +515,7 @@ def run_clifford(p, prec, seed, samples):
 
 def run_oracle(p, prec, seed, samples):
     ctx = PrimeContext(p, prec)
-    ext = ctx.residue_class == 3  # Q_p(i) literals only exist when it is a field
+    ext = ctx.p % 4 == 3  # Q_p(i) literals only exist when it is a field
 
     def rational_digits(rng):
         num = rng.randint(-10**6, 10**6)

@@ -7,6 +7,7 @@ Plain output is deterministic for fixed flags and seed.
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -22,6 +23,9 @@ from .qpi import QpiElement, format_qpi, require_prime_class
 # work and memory grow with both, so each is bounded where input enters
 MAX_PREC = 8192
 MAX_SAMPLES = 100000
+# Fraction expands binom's decimal exponent into a power of ten, and at p = 5
+# that power is alpha's valuation, below which every power of p gets cached
+MAX_DECIMAL_EXPONENT = 10000
 
 _ANALYTIC_FNS = {
     "exp": exp,
@@ -118,6 +122,12 @@ def _cmd_analytic(args):
         if len(args.args) != 2:
             raise ParseError("binom takes two arguments: exponent and point")
         alpha_text, x_text = args.args
+        e = re.search(r"e([-+]?\d+(?:_\d+)*)\s*$", alpha_text, re.IGNORECASE)
+        if e and abs(int(e.group(1))) > MAX_DECIMAL_EXPONENT:
+            raise ParseError(
+                f"binom exponent: the power of ten after e must lie in "
+                f"[-{MAX_DECIMAL_EXPONENT}, {MAX_DECIMAL_EXPONENT}]"
+            )
         frac = Fraction(alpha_text)  # plain rational exponent, e.g. 1/2
         alpha = from_rational(frac.numerator, frac.denominator, ctx)
         x = _as_scalar_or_qpi(evaluate(x_text, ctx))

@@ -50,12 +50,8 @@ class Vector3:
     def scale(self, k):
         return Vector3(self.a * k, self.b * k, self.c * k)
 
-    def eq_to(self, other, m_cap=None):
-        return (
-            self.a.eq_to(other.a, m_cap)
-            and self.b.eq_to(other.b, m_cap)
-            and self.c.eq_to(other.c, m_cap)
-        )
+    def eq_to(self, other):
+        return self.a.eq_to(other.a) and self.b.eq_to(other.b) and self.c.eq_to(other.c)
 
     def serialize(self):
         return f"({format_padic(self.a)}, {format_padic(self.b)}, {format_padic(self.c)})"
@@ -119,8 +115,8 @@ class SpherePoint:
     def matrix(self):
         return iota(self.vec)
 
-    def eq_to(self, other, m_cap=None):
-        return self.vec.eq_to(other.vec, m_cap)
+    def eq_to(self, other):
+        return self.vec.eq_to(other.vec)
 
     def as_cup(self):
         """Re-wrap as a CupPoint, checking the distance bound to the pole."""
@@ -226,8 +222,8 @@ class ProjectiveRotation:
         # determinant, which the projective class absorbs
         return ProjectiveRotation(self.alpha.conj(), -self.beta)
 
-    def eq_to(self, other, m_cap=None):
-        return self.alpha.eq_to(other.alpha, m_cap) and self.beta.eq_to(other.beta, m_cap)
+    def eq_to(self, other):
+        return self.alpha.eq_to(other.alpha) and self.beta.eq_to(other.beta)
 
     def serialize(self):
         return f"[{format_qpi(self.alpha)}; {format_qpi(self.beta)}]"

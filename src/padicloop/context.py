@@ -61,10 +61,6 @@ class PrimeContext:
     def __setattr__(self, name, value):
         raise AttributeError("PrimeContext is immutable")
 
-    @property
-    def residue_class(self):
-        return self.p % 4
-
     def pow(self, k):
         """p**k for k >= 0, cached."""
         powers = self._powers

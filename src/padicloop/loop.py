@@ -50,8 +50,8 @@ class DiskPoint:
     def __neg__(self):
         return DiskPoint(-self.value)
 
-    def eq_to(self, other, m_cap=None):
-        return self.value.eq_to(other.value, m_cap)
+    def eq_to(self, other):
+        return self.value.eq_to(other.value)
 
     def serialize(self):
         return format_qpi(self.value)
@@ -137,8 +137,8 @@ class Deviation:
         one = QpiElement.one(self.factor.ctx)
         return ProjectiveRotation(one + self.factor, QpiElement.zero(self.factor.ctx))
 
-    def eq_to(self, other, m_cap=None):
-        return self.factor.eq_to(other.factor, m_cap)
+    def eq_to(self, other):
+        return self.factor.eq_to(other.factor)
 
     def serialize(self):
         return format_qpi(self.factor)

@@ -85,10 +85,8 @@ class Mat2:
     def truncate(self, m_cap):
         return Mat2(*(a.truncate(m_cap) for a in self.entries()))
 
-    def eq_to(self, other, m_cap=None):
-        return all(
-            a.eq_to(b, m_cap) for a, b in zip(self.entries(), other.entries())
-        )
+    def eq_to(self, other):
+        return all(a.eq_to(b) for a, b in zip(self.entries(), other.entries()))
 
     def __repr__(self):
         return f"Mat2[[{self.m11}, {self.m12}], [{self.m21}, {self.m22}]]"

@@ -13,7 +13,6 @@ unknown multiple of p^m.  The literal grammar has a single zero form, so both
 print as O(p^m); parsing yields the exact zero.
 """
 
-from .context import PrimeContext
 from .errors import (
     DivisionByZero,
     NonSquare,
@@ -80,6 +79,10 @@ class PadicNumber:
             r -= d
             unit //= ctx.pow(d)
         return PadicNumber(ctx, _NONZERO, v, unit, r, m)
+
+    def _zero(self, m):
+        """A zero of this one's kind (exact or inexact) modulo p^m."""
+        return PadicNumber(self.ctx, self.kind, None, 0, 0, m)
 
     @staticmethod
     def from_digits(ctx, v, digits, m=None):
@@ -152,18 +155,11 @@ class PadicNumber:
 
     def truncate(self, m_cap):
         """Forget everything beyond p^m_cap."""
-        if self.kind == _EXACT_ZERO:
-            return self if m_cap >= self.m else PadicNumber.exact_zero(self.ctx, m_cap)
         if m_cap >= self.m:
             return self
-        if self.kind == _ZERO_MOD:
-            return PadicNumber.zero_mod(self.ctx, m_cap)
-        if self.v >= m_cap:
-            return PadicNumber.zero_mod(self.ctx, m_cap)
-        return PadicNumber(
-            self.ctx, _NONZERO, self.v, self.unit % self.ctx.pow(m_cap - self.v),
-            m_cap - self.v, m_cap,
-        )
+        if self.kind == _NONZERO:
+            return PadicNumber.make(self.ctx, self.v, self.unit, m_cap)
+        return self._zero(m_cap)
 
     def eq_to(self, other, m_cap=None):
         """Equality of digit strings modulo p^min(m, other.m, m_cap)."""
@@ -197,10 +193,8 @@ class PadicNumber:
             return b
         if b.kind == _EXACT_ZERO:
             return a
-        if a.kind == _ZERO_MOD and b.kind == _ZERO_MOD:
-            return PadicNumber.zero_mod(a.ctx, min(a.m, b.m))
         if a.kind == _ZERO_MOD:
-            return b.truncate(min(a.m, b.m))
+            a, b = b, a
         if b.kind == _ZERO_MOD:
             return a.truncate(min(a.m, b.m))
         ctx = a.ctx
@@ -219,6 +213,8 @@ class PadicNumber:
         return PadicNumber.make(ctx, a.v, s, m)
 
     def __sub__(self, other):
+        if not isinstance(other, PadicNumber):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
@@ -230,12 +226,10 @@ class PadicNumber:
         if a.kind != _NONZERO or b.kind != _NONZERO:
             if a.kind == _NONZERO:
                 a, b = b, a
-            # a is a zero; scale its modulus by the partner's size
+            # a is a zero; scale its modulus by the partner's size.  The
+            # product is exact if either factor is.
             shift = b.v if b.kind == _NONZERO else b.m
-            kind = a.kind
-            if b.kind == _EXACT_ZERO:
-                kind = _EXACT_ZERO
-            return PadicNumber(a.ctx, kind, None, 0, 0, a.m + shift)
+            return (b if b.kind == _EXACT_ZERO else a)._zero(a.m + shift)
         r = min(a.r, b.r)
         pr = a.ctx.pow(r)
         return PadicNumber(
@@ -264,7 +258,7 @@ class PadicNumber:
         p^k, k >= min(self.r, b.r) (unused when self is a zero), so one
         inverse can serve several dividends."""
         if self.kind != _NONZERO:
-            return PadicNumber(self.ctx, self.kind, None, 0, 0, self.m - b.v)
+            return self._zero(self.m - b.v)
         r = min(self.r, b.r)
         pr = self.ctx.pow(r)
         v = self.v - b.v
@@ -285,7 +279,7 @@ class PadicNumber:
             raise DivisionByZero("division by exact zero")
         vn = vp_int(n, ctx.p)
         if self.kind != _NONZERO:
-            return PadicNumber(ctx, self.kind, None, 0, 0, self.m - vn)
+            return self._zero(self.m - vn)
         n_u = abs(n) // ctx.pow(vn)
         r = min(self.r, ctx.precision)
         pr = ctx.pow(r)

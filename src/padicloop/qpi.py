@@ -49,8 +49,8 @@ class QpiElement:
         )
 
     @staticmethod
-    def zero(ctx, m=None):
-        z = PadicNumber.exact_zero(ctx, m if m is not None else ctx.precision)
+    def zero(ctx):
+        z = PadicNumber.exact_zero(ctx)
         return QpiElement(z, z)
 
     @staticmethod
@@ -59,9 +59,7 @@ class QpiElement:
 
     @staticmethod
     def i_unit(ctx):
-        return QpiElement(
-            PadicNumber.exact_zero(ctx), from_rational(1, 1, ctx)
-        )
+        return QpiElement(PadicNumber.exact_zero(ctx), from_rational(1, 1, ctx))
 
     # ---- views ----
 
@@ -83,27 +81,18 @@ class QpiElement:
         return self.re.is_zero_mod and self.im.is_zero_mod
 
     @property
-    def valuation(self):
-        """Extended valuation min(v(re), v(im)); INFINITE for the exact zero,
-        None when an inexact-zero component leaves it undetermined."""
-        known = INFINITE
-        bound = INFINITE
-        has_bound = False
-        for c in (self.re, self.im):
-            v = c.valuation
-            if v is None:
-                has_bound = True
-                bound = min(bound, c.m)
-            else:
-                known = min(known, v)
-        if not has_bound:
-            return known
-        # an inexact zero only caps v from below at its m
-        return known if known < bound else None
-
-    @property
     def valuation_lower_bound(self):
         return min(self.re.valuation_lower_bound, self.im.valuation_lower_bound)
+
+    @property
+    def valuation(self):
+        """Extended valuation min(v(re), v(im)); INFINITE for the exact zero,
+        None when an inexact-zero component leaves it undetermined: an
+        inexact zero only bounds v from below by its m."""
+        v = self.valuation_lower_bound
+        if any(c.is_zero_mod and c.m <= v for c in (self.re, self.im)):
+            return None
+        return v
 
     @property
     def known_precision(self):
@@ -223,23 +212,16 @@ def conj(z):
 
 def norm_abs(z):
     """(z*conj(z), v(z)) with |z|_p = p^(-v(z)); exponent INFINITE for zero."""
-    n = z.norm()
-    if z.is_exact_zero:
-        return n, INFINITE
-    return n, z.valuation
+    return z.norm(), z.valuation
 
 
 def format_qpi(z):
     """Canonical literal; a zero component is omitted, a pure-real value is
     the bare scalar literal."""
-    re_zero = z.re.is_zero
-    im_zero = z.im.is_zero
-    if im_zero and not re_zero:
+    if z.im.is_zero:
         return format_padic(z.re)
-    if re_zero and not im_zero:
+    if z.re.is_zero:
         return f"({format_padic(z.im)})*i"
-    if re_zero and im_zero:
-        return format_padic(z.re)
     return f"({format_padic(z.re)}) + ({format_padic(z.im)})*i"
 
 

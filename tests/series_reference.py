@@ -6,6 +6,10 @@ analytic.py ran before the rectangular-splitting engine, copied verbatim: one
 full-width PadicNumber / QpiElement product per term.  The public functions
 below compose them exactly as analytic.py composes its own, so the engine
 must reproduce every digit and every (kind, v, unit, r, m) of them.
+
+`binomial_two_carrier` is analytic.binomial_series as it was before it carried
+the term itself: the coefficient c and the power x^n as two full-width
+objects, multiplied together for each term.
 """
 
 from padicloop.analytic import (
@@ -18,7 +22,7 @@ from padicloop.analytic import (
     _require,
     binomial_series,
 )
-from padicloop.errors import PadicError
+from padicloop.errors import DomainError, PadicError
 from padicloop.padic import INFINITE, PadicNumber, from_rational
 from padicloop.qpi import QpiElement
 
@@ -135,6 +139,37 @@ def arcsin(x):
     root = binomial_series(half, -(x * x))
     result = log(i * x + root) * (-i)
     return _real_in_real_out(result, was_real)
+
+
+def binomial_two_carrier(alpha, x):
+    """Sum binom(alpha, n) x^n for alpha in Z_p, |x|_p < 1.
+
+    Coefficients lie in Z_p (integrality passes to the completion), which is
+    what makes the plain (n+1)*v(x) tail bound valid.
+    """
+    if alpha.valuation_lower_bound < 0:
+        raise DomainError(
+            f"binomial_series: alpha has valuation {alpha.valuation}, not in Z_p"
+        )
+    _require(ConvergenceDomain.BINOMIAL_DISK, x, "binomial_series")
+    ctx = x.ctx
+    one = _one_like(x)
+    lb = x.valuation_lower_bound
+    if lb == INFINITE:
+        return one
+    total = one
+    c = from_rational(1, 1, ctx)
+    xn = one
+    n = 0
+    while n < _MAX_TERMS:
+        n += 1
+        c = (c * (alpha - from_rational(n - 1, 1, ctx))).div_int(n)
+        xn = xn * x
+        total = total + xn * c
+        tail = (n + 1) * lb
+        if tail >= total.known_precision:
+            return total.truncate(tail)
+    raise PadicError("binomial series failed to terminate")
 
 
 FUNCTIONS = {

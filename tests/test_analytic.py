@@ -490,3 +490,33 @@ class TestOracleDigits:
             got = binomial_series(frac_to_padic(alpha, ctx), to_kernel(g, ctx, gaussian))
             where = f"binomial({alpha}, {g}) at p={p}, N={n}: {got}"
             assert_digits_match(got, want, p, where)
+
+    @pytest.mark.parametrize("n", (1, 2, 4, 8, 16))
+    @pytest.mark.parametrize("p", ORACLE_PRIMES)
+    def test_matrix_exp_against_partial_sum(self, p, n):
+        # every component reported as nonzero or as an inexact zero; the
+        # exact zeros are pinned by the xfail below.  The kernel caps every m
+        # at its tail bound, below N + 3 here, and the terms after 2N + 12
+        # have valuation above N + 6, so the partial sum's digits are final
+        ctx = PrimeContext(p, n)
+        rng = random.Random(1072 * 1000 + p * 100 + n)
+        for _ in range(8):
+            entries = [rand_disk_rational(rng, p, True) for _ in range(4)]
+            got = matrix_exp(Mat2(*(to_kernel(g, ctx, True) for g in entries)))
+            want = gmat_exp_partial(gmat(*entries), 2 * n + 12)
+            where = f"exp({entries}) at p={p}, N={n}: {got}"
+            for e, w in zip(got.entries(), want):
+                for c, q in ((e.re, w.re), (e.im, w.im)):
+                    if not c.is_exact_zero:
+                        assert_digits_match(c, GaussianRational(q), p, where)
+
+    @pytest.mark.xfail(strict=True, reason="matrix_exp stops on an exact-zero component "
+                       "that later terms would fill; see ROADMAP")
+    def test_matrix_exp_reports_no_false_exact_zero(self):
+        ctx = PrimeContext(3, 1)
+        entries = [GaussianRational(3), GaussianRational(3, 3), GaussianRational(6),
+                   GaussianRational(-3)]
+        got = matrix_exp(Mat2(*(to_kernel(g, ctx, True) for g in entries)))
+        want = gmat_exp_partial(gmat(*entries), 14)
+        for name, e, w in zip(("m11", "m12", "m21", "m22"), got.entries(), want):
+            assert_digits_match(e, w, 3, f"{name} = {e}")

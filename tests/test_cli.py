@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from padicloop import checks
-from padicloop.cli import MAX_PREC, MAX_SAMPLES, main
+from padicloop.cli import MAX_DECIMAL_EXPONENT, MAX_PREC, MAX_SAMPLES, main
 from padicloop.context import MAX_PRIME, PrimeContext
 from padicloop.expr import MAX_DEPTH, evaluate
 from padicloop.oracles import GaussianRational, series_partial_sum
@@ -282,6 +282,31 @@ class TestCaps:
         assert out == ""
         assert err == f"error: ParseError: --samples must be at most {MAX_SAMPLES}\n"
         assert seen == []
+
+    @pytest.mark.parametrize("alpha, shown", [
+        ("1/2", "1 + 4*7 + 2*7^2 + 1*7^3 + O(7^4)"),
+        ("0.5", "1 + 4*7 + 2*7^2 + 1*7^3 + O(7^4)"),
+        ("5e-1", "1 + 4*7 + 2*7^2 + 1*7^3 + O(7^4)"),
+        ("-3", "1 + 4*7 + 5*7^2 + 4*7^3 + O(7^4)"),
+        ("1e-5000", "1 + 4*7 + 2*7^2 + 4*7^3 + O(7^4)"),
+        (f"1e-{MAX_DECIMAL_EXPONENT}", "1 + 2*7 + 6*7^2 + 1*7^3 + O(7^4)"),
+    ])
+    def test_binom_exponent_within_cap_keeps_its_digits(self, capsys, alpha, shown):
+        code, out, _ = run_cli(capsys, "analytic", "binom", alpha, "7", "--prec", "4")
+        assert code == 0
+        assert out == shown + "\n"
+
+    @pytest.mark.parametrize("alpha", [
+        "1e-10000000", f"1E+{MAX_DECIMAL_EXPONENT + 1}", " 1.5e-1_000_000 ",
+    ])
+    def test_binom_decimal_exponent_above_cap_is_an_input_error(self, capsys, alpha):
+        code, out, err = run_cli(capsys, "analytic", "binom", alpha, "7", "--prec", "4")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: ParseError: binom exponent: the power of ten after e must lie in "
+            f"[-{MAX_DECIMAL_EXPONENT}, {MAX_DECIMAL_EXPONENT}]\n"
+        )
 
 
 class TestPrimeClass:

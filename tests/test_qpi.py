@@ -360,3 +360,15 @@ class TestMixedScalarOperands:
             x + 1
         with pytest.raises(TypeError):
             x * 1
+
+    def test_scalar_minus_int_is_a_type_error_naming_minus(self):
+        with pytest.raises(TypeError, match=r"for -: 'PadicNumber' and 'int'"):
+            from_int(1, C7) - 1
+
+    def test_scalar_minus_scalar_is_plus_the_negation(self):
+        rng = random.Random(4110)
+        scalars = [PadicNumber.exact_zero(C7), PadicNumber.zero_mod(C7, 3)]
+        scalars += [sample_qpi(rng, C7).re for _ in range(6)]
+        for x in scalars:
+            for y in scalars:
+                assert x - y == x + (-y), f"{x} - {y}"

@@ -164,3 +164,37 @@ def test_engine_matches_reference_on_random_shallow_inputs():
 def test_every_input_class_runs_at_both_depths():
     for N in (256, 512):
         assert {label for _, n, label in CASES if n == N} == set(LABELS)
+
+
+def binomial_alphas(rng, ctx):
+    """The exponents callers pass (1/2, -3, 2, -5/7, p/2, 0, 5; -5/7 is
+    outside Z_p at p = 7) and a random Z_p value with 1..N digits."""
+    p, N = ctx.p, ctx.precision
+    fixed = ((1, 2), (-3, 1), (2, 1), (-5, 7), (p, 2), (0, 1), (5, 1))
+    alphas = [from_rational(a, b, ctx) for a, b in fixed]
+    return alphas + [_scalar(rng, ctx, rng.randint(0, 2), rng.randint(1, N))]
+
+
+def test_binomial_matches_two_carrier_reference():
+    # binomial_series carries the term; the reference carries the coefficient
+    # and x^n apart.  Every field must agree, exact and inexact zeros included.
+    rng = random.Random(8)
+    mismatched = []
+    for x in random_inputs(200, seed=8):
+        for alpha in binomial_alphas(rng, x.ctx):
+            got = outcome(lambda y: analytic.binomial_series(alpha, y), x)
+            want = outcome(lambda y: reference.binomial_two_carrier(alpha, y), x)
+            if mismatched_fields(got, want):
+                mismatched.append((repr(alpha), repr(x)))
+    assert mismatched == []
+
+
+@pytest.mark.parametrize("N, v, unit, m", [(14, 1, 4459663, 15), (20, 1, 76, 6)])
+def test_factorial_dip_places_an_exact_zero_m(N, v, unit, m):
+    # a real value whose exact-zero imaginary part has m = 1, below v(x):
+    # with the factorial plan's dip one smaller, sin's imaginary part prints
+    # O(3^(m' + 1)) where the term-by-term recurrence prints O(3^m')
+    ctx = PrimeContext(3, N)
+    x = QpiElement(PadicNumber.make(ctx, v, unit, m), PadicNumber.exact_zero(ctx, 1))
+    for fn in ("sin", "tan"):
+        assert outcome(getattr(analytic, fn), x) == outcome(reference.FUNCTIONS[fn], x)
