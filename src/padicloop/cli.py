@@ -143,7 +143,6 @@ def _cmd_analytic(args):
 
 def _cmd_loop(args):
     ctx = _context(args)
-    require_prime_class(ctx)
     a = DiskPoint(evaluate(args.a, ctx))
     b = DiskPoint(evaluate(args.b, ctx))
     if args.op == "rsolve":

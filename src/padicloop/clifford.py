@@ -118,10 +118,6 @@ class SpherePoint:
     def eq_to(self, other):
         return self.vec.eq_to(other.vec)
 
-    def as_cup(self):
-        """Re-wrap as a CupPoint, checking the distance bound to the pole."""
-        return CupPoint(self.vec)
-
     def serialize(self):
         return self.vec.serialize()
 
@@ -304,8 +300,6 @@ def polar_point(theta, phi):
         [[cos 2theta, exp(i phi) sin 2theta],
          [exp(-i phi) sin 2theta, -cos 2theta]]
     """
-    if theta.valuation_lower_bound < 1 or phi.valuation_lower_bound < 1:
-        raise DomainError("polar_point needs theta, phi with valuation >= 1")
     ctx = theta.ctx
     two_theta = theta + theta
     s, c = sin(two_theta), cos(two_theta)
@@ -316,8 +310,6 @@ def polar_point(theta, phi):
 
 def exp_vertical(a):
     """diag(exp(ia), exp(-ia)) as a projective rotation; fixes sigma_z."""
-    if a.valuation_lower_bound < 1:
-        raise DomainError("exp_vertical needs a with valuation >= 1")
     ctx = a.ctx
     ea = exp(QpiElement(PadicNumber.exact_zero(ctx), a))
     return ProjectiveRotation(ea, QpiElement.zero(ctx))
@@ -326,8 +318,6 @@ def exp_vertical(a):
 def exp_horizontal(beta):
     """matrix_exp of [[0, beta], [-conj(beta), 0]]; moves sigma_z into the
     cup."""
-    if beta.valuation_lower_bound < 1:
-        raise DomainError("exp_horizontal needs beta with valuation >= 1")
     ctx = beta.ctx
     z = QpiElement.zero(ctx)
     E = matrix_exp(Mat2(z, beta, -beta.conj(), z))

@@ -120,34 +120,29 @@ class _Parser:
         return sign * tok[1]
 
     def atom(self):
-        tok = self.peek()
+        tok = self.take()
         if tok[0] == "int":
-            self.take()
             return QpiElement(from_int(tok[1], self.ctx))
         if tok[0] == "name":
             name = tok[1]
             if name == "i":
-                self.take()
                 return QpiElement.i_unit(self.ctx)
             if name == "O":
-                return self.o_tail()
+                return self.o_tail(tok)
             if name == "sqrt":
-                self.take()
                 self.take("op", "(")
                 arg = self.nested(tok, self.expr)
                 self.take("op", ")")
                 return self.sqrt_value(arg)
             raise ParseError(f"unknown name {name!r}", position=tok[2])
         if tok[:2] == ("op", "("):
-            self.take()
             value = self.nested(tok, self.expr)
             self.take("op", ")")
             return value
         raise ParseError(f"unexpected token {tok[1]!r}", position=tok[2])
 
-    def o_tail(self):
-        # O(p) or O(p^m): an inexact zero known modulo p^m
-        tok = self.take("name")
+    def o_tail(self, tok):
+        # O(p) or O(p^m) after the name O: an inexact zero known modulo p^m
         self.take("op", "(")
         base = self.take("int")[1]
         if base != self.ctx.p:

@@ -1,7 +1,6 @@
 """2x2 matrices over Q_p(i): the carrier for Pauli vectors, rotations and
 left-translation representatives."""
 
-from .errors import DivisionByZero, PrecisionExhausted
 from .qpi import QpiElement
 
 
@@ -67,12 +66,9 @@ class Mat2:
         return Mat2(self.m22, -self.m12, -self.m21, self.m11)
 
     def inverse(self):
-        d = self.det()
-        if d.is_exact_zero:
-            raise DivisionByZero("singular matrix")
-        if d.is_zero:
-            raise PrecisionExhausted("determinant is zero to its known precision")
-        return self.adjugate().scale_div(d)
+        # the division raises for a determinant that is zero, exactly or to
+        # its known precision
+        return self.adjugate().scale_div(self.det())
 
     @property
     def valuation_lower_bound(self):

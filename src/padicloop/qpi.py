@@ -8,9 +8,7 @@ conditioned as multiplication.
 """
 
 from .errors import DivisionByZero, PadicError, ParseError, PrecisionExhausted, WrongPrimeClass
-from .padic import (
-    INFINITE, PadicNumber, arith, format_padic, from_rational, parse_padic, power, vp_int,
-)
+from .padic import INFINITE, PadicNumber, format_padic, from_rational, parse_padic, power
 
 
 def require_prime_class(ctx):
@@ -38,14 +36,6 @@ class QpiElement:
     def from_rationals(re_num, re_den, im_num, im_den, ctx):
         return QpiElement(
             from_rational(re_num, re_den, ctx), from_rational(im_num, im_den, ctx)
-        )
-
-    @staticmethod
-    def from_gaussian(g, ctx):
-        """Embed an exact Gaussian rational (oracle type or Fraction pair)."""
-        return QpiElement(
-            from_rational(g.re.numerator, g.re.denominator, ctx),
-            from_rational(g.im.numerator, g.im.denominator, ctx),
         )
 
     @staticmethod
@@ -163,16 +153,12 @@ class QpiElement:
     def div_int(self, n):
         """Division by a nonzero integer, component by component; the same
         result as self / n with n coerced into Q_p(i)."""
-        im = self.im.div_int(n)
-        if not self.re.is_exact_zero:
-            return QpiElement(self.re.div_int(n), im)
-        # through the coerced divisor an exact-zero real part came out as the
-        # product im * 0, so its display precision is N + v(im) - v(n), with
-        # m standing in for v(im) when im is a zero
-        ctx = self.ctx
-        shift = self.im.m if self.im.is_zero else self.im.v
-        m = ctx.precision + shift - vp_int(n, ctx.p)
-        return QpiElement(PadicNumber.exact_zero(ctx, m), im)
+        re = self.re
+        if re.is_exact_zero:
+            # through the coerced divisor an exact-zero real part comes out
+            # as the product im * 0, and the kernel's zero rule sets its m
+            re = self.im * PadicNumber.exact_zero(self.ctx)
+        return QpiElement(re.div_int(n), self.im.div_int(n))
 
     def __pow__(self, k):
         return power(self, k, QpiElement.one(self.ctx))
@@ -200,19 +186,6 @@ def _coerce(x, ctx):
     if isinstance(x, int):
         return QpiElement(from_rational(x, 1, ctx))
     raise PadicError(f"cannot coerce {x!r} into Q_p(i)")
-
-
-# one strict precision contract serves both fields
-ext_arith = arith
-
-
-def conj(z):
-    return z.conj()
-
-
-def norm_abs(z):
-    """(z*conj(z), v(z)) with |z|_p = p^(-v(z)); exponent INFINITE for zero."""
-    return z.norm(), z.valuation
 
 
 def format_qpi(z):

@@ -379,7 +379,7 @@ class TestMatrixExp:
         X = Mat2(z, beta, -beta.conj(), z)
         got = matrix_exp(X)
         w = gmat_exp_partial(gmat(0, GaussianRational(0, 7), GaussianRational(0, 7), 0), 40)
-        want = Mat2(*(QpiElement.from_gaussian(g, C7) for g in w))
+        want = Mat2(*(to_kernel(g, C7, True) for g in w))
         assert got.eq_to(want)
         assert got.det().eq_to(QpiElement.one(C7))
 

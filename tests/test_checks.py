@@ -21,6 +21,7 @@ from padicloop.checks import (
 )
 from padicloop.clifford import ProjectiveRotation
 from padicloop.context import PrimeContext
+from padicloop.oracles import GaussianRational
 from padicloop.padic import INFINITE, PadicNumber, from_int
 from padicloop.qpi import QpiElement
 
@@ -121,6 +122,17 @@ def test_witness_is_built_only_for_recorded_failures():
     # only the first _MAX_RECORDED failures are kept, so only those are built
     assert len(built) == 6
     assert prop.record()["failures"] == ["w"] * 6
+
+
+@pytest.mark.parametrize("p", [7, 3, 11])
+def test_non_associativity_search_counts_and_caps_like_a_tally(monkeypatch, p):
+    # a constant oracle contradicts every nonassociative triple
+    monkeypatch.setattr(checks, "gaussian_loop_add", lambda a, b: GaussianRational(0))
+    rec = checks._non_associativity_record(PrimeContext(p, 16))
+    assert rec["samples"] == 27
+    assert "witness" not in rec
+    assert 0 < len(rec["failures"]) <= checks._MAX_RECORDED
+    assert rec["failures"][-1] == "no witness found in the 27-triple search space"
 
 
 class TestTallyPairs:

@@ -55,6 +55,12 @@ class TestArith:
         assert err.startswith("error: ParseError: expression nested more than")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("expr", ["(", "1+", "-", "sqrt(", "1*"])
+    def test_truncated_expression_is_end_of_input(self, capsys, expr):
+        assert run_cli(capsys, "arith", expr) == (
+            2, "", "error: ParseError: unexpected end of expression\n"
+        )
+
     @pytest.mark.parametrize("expr", [
         "(" * MAX_DEPTH + "1" + ")" * MAX_DEPTH,
         "0+" + "-" * MAX_DEPTH + "1",

@@ -6,6 +6,8 @@ cli_golden.json pins the exit code and the exact stdout of every
 that moves any printed digit, O-term, property count or record field fails
 here.
 
+Every ```python block of README.md must also run as shown.
+
 Regenerate (only when an output change is intended):
     PYTHONPATH=src python tests/test_cli_golden.py --write
 """
@@ -13,6 +15,7 @@ Regenerate (only when an output change is intended):
 import contextlib
 import io
 import json
+import re
 import shlex
 import sys
 from pathlib import Path
@@ -79,7 +82,16 @@ def test_readme_shows_the_pinned_output(golden):
         assert all(line in pinned for line in shown), argv
 
 
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        with contextlib.redirect_stdout(io.StringIO()):
+            exec(compile(block, str(README), "exec"), {})
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_cli_golden.py --write")
     GOLDEN.write_text(json.dumps([run(a) for a in commands()], indent=1) + "\n")
+
