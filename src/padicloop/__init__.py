@@ -9,7 +9,6 @@ from .errors import (
     IsotropicAxis,
     NearPole,
     NonSquare,
-    NoSolution,
     NotPauliShape,
     OutsideDisk,
     PadicError,
@@ -52,6 +51,5 @@ __all__ = [
     "IsotropicAxis",
     "PoleHit",
     "OutsideDisk",
-    "NoSolution",
     "NearPole",
 ]

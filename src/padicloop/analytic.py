@@ -415,8 +415,7 @@ def arctan(x):
     ctx = x.ctx
     i = QpiElement.i_unit(ctx)
     ix = i * x
-    one = QpiElement.one(ctx)
-    q = (one + ix) / (one - ix)
+    q = (1 + ix) / (1 - ix)
     result = log(q) * (-i) / from_rational(2, 1, ctx)
     return _real_in_real_out(result, was_real)
 

@@ -133,11 +133,6 @@ def _tracked(x):
     return x.r
 
 
-def _eq_floor(a, b, floor):
-    """eq_to plus the tracked-precision floor on both sides."""
-    return a.eq_to(b) and _tracked(a) >= floor and _tracked(b) >= floor
-
-
 def _tally_eq(prop, lhs, rhs, floor, witness):
     """Count the sample unless its certificate is too weak to be meaningful.
 
@@ -251,7 +246,8 @@ def run_axioms(p, prec, seed, samples):
     def unimodular(rng):
         x1, x2 = _rand_disk(rng, ctx), _rand_disk(rng, ctx)
         u = deviation(x1, x2).factor
-        ok = u.valuation == 0 and _eq_floor(u * u.conj(), one, floor)
+        n = u * u.conj()
+        ok = u.valuation == 0 and n.eq_to(one) and _tracked(n) >= floor
         return ok, lambda: f"x1={x1.serialize()}; x2={x2.serialize()}"
 
     def automorphism(rng):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import checks
 from .analytic import arcsin, arctan, binomial_series, cos, exp, log, sin, tan
 from .context import PrimeContext
-from .errors import NoSolution, PadicError, ParseError
+from .errors import PadicError, ParseError
 from .expr import evaluate
 from .loop import DiskPoint, deviation, left_divide, loop_add, right_solve
 from .padic import format_padic, from_rational
@@ -145,21 +145,12 @@ def _cmd_loop(args):
     ctx = _context(args)
     a = DiskPoint(evaluate(args.a, ctx))
     b = DiskPoint(evaluate(args.b, ctx))
-    if args.op == "rsolve":
-        try:
-            y = right_solve(a, b)
-        except NoSolution as exc:
-            if args.fmt == "json":
-                print(json.dumps({"result": "no-solution", "reason": exc.reason}))
-            else:
-                print("no-solution")
-            return 0
-        _print_value(y.value, args.fmt)
-        return 0
     if args.op == "add":
         value = loop_add(a, b).value
     elif args.op == "ldiv":
         value = left_divide(a, b).value
+    elif args.op == "rsolve":
+        value = right_solve(a, b).value
     else:
         value = deviation(a, b).factor
     _print_value(value, args.fmt)

@@ -108,10 +108,6 @@ class SpherePoint:
         raise AttributeError("SpherePoint is immutable")
 
     @property
-    def ctx(self):
-        return self.vec.ctx
-
-    @property
     def matrix(self):
         return iota(self.vec)
 
@@ -205,10 +201,6 @@ class ProjectiveRotation:
         return ProjectiveRotation.from_matrix(iota(u) * iota(w))
 
     @property
-    def ctx(self):
-        return self.alpha.ctx
-
-    @property
     def matrix(self):
         return Mat2(self.alpha, self.beta, -self.beta.conj(), self.alpha.conj())
 
@@ -234,16 +226,16 @@ def rotation_compose(R, S):
     return ProjectiveRotation(a1 * a2 - b1 * b2.conj(), a1 * b2 + b1 * a2.conj())
 
 
-def conjugate_matrix(R, M):
-    """R M R^{-1} with the canonical representative; the determinant is real,
-    so the division keeps Pauli shapes intact."""
-    rep = R.matrix
-    return (rep * M * rep.adjugate()).scale_div(rep.det())
-
-
 def rotation_act(R, P):
-    """Conjugation action on the sphere."""
-    return SpherePoint(iota_inv(conjugate_matrix(R, P.matrix)))
+    """Conjugation action on the sphere: R iota(v) adj(R) / det(R) is iota of
+    the image (a, b, c), so only its first row (c, a + ib) is computed.  The
+    determinant is real, so the quotient keeps the Pauli shape."""
+    rep = R.matrix
+    r11, r12 = (rep * P.matrix).entries()[:2]
+    det = rep.det()
+    c = (r11 * rep.m22 + r12 * -rep.m21) / det
+    w = (r11 * -rep.m12 + r12 * rep.m11) / det
+    return SpherePoint(Vector3(w.re, w.im, c.re))
 
 
 def mobius_action(R, xi):
@@ -321,5 +313,5 @@ def exp_horizontal(beta):
     ctx = beta.ctx
     z = QpiElement.zero(ctx)
     E = matrix_exp(Mat2(z, beta, -beta.conj(), z))
-    return ProjectiveRotation.from_matrix(E)
+    return ProjectiveRotation(E.m11, E.m12)
 

@@ -53,13 +53,5 @@ class OutsideDisk(PadicError):
     pass
 
 
-class NoSolution(PadicError):
-    """right_solve: the linear system is singular or its solution leaves the disk."""
-
-    def __init__(self, reason):
-        super().__init__(f"no solution: {reason}")
-        self.reason = reason
-
-
 class NearPole(PadicError):
     """Float oracle denominator too small to trust."""

@@ -7,12 +7,14 @@ from fractions import Fraction
 import pytest
 
 from padicloop import checks
+from padicloop.analytic import binomial_series
 from padicloop.cli import MAX_DECIMAL_EXPONENT, MAX_PREC, MAX_SAMPLES, main
 from padicloop.context import MAX_PRIME, PrimeContext
 from padicloop.expr import MAX_DEPTH, evaluate
+from padicloop.loop import DiskPoint, left_divide, right_solve
 from padicloop.oracles import GaussianRational, series_partial_sum
-from padicloop.padic import from_int, from_rational
-from padicloop.qpi import QpiElement, parse_qpi
+from padicloop.padic import format_padic, from_int, from_rational
+from padicloop.qpi import QpiElement, format_qpi, parse_qpi
 
 
 def run_cli(capsys, *argv):
@@ -74,6 +76,14 @@ class TestArith:
         assert str(evaluate("1 + 7^16000", ctx)) == "1 + O(7^32)"
         assert str(evaluate("7^16000 + 1", ctx)) == "1 + O(7^32)"
         assert len(ctx._powers) <= ctx.precision + 2
+
+    @pytest.mark.parametrize("expr", ["1 2", "foo", ")", "2^x", "O(5^2)", "sqrt(i)"])
+    def test_expression_error_is_one_line(self, capsys, expr):
+        code, out, err = run_cli(capsys, "arith", expr, "--p", "7")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
 
     def test_extension_literal(self, capsys):
         code, out, _ = run_cli(capsys, "arith", "(2 + i)*(2 - i)", "--prec", "4")
@@ -164,6 +174,18 @@ class TestLoop:
         got = (y + a) / (QpiElement.one(ctx) - y.conj() * a)
         assert got.eq_to(b, m_cap=6)
 
+    @pytest.mark.parametrize("op, fn", [("ldiv", left_divide), ("rsolve", right_solve)])
+    def test_quotients_plain_and_json(self, capsys, op, fn):
+        ctx = PrimeContext(7, 8)
+        a = DiskPoint(QpiElement(from_int(7, ctx)))
+        b = DiskPoint(QpiElement(from_int(0, ctx), from_int(14, ctx)))
+        want = format_qpi(fn(a, b).value)
+        argv = ("loop", op, "7", "14*i", "--prec", "8")
+        assert run_cli(capsys, *argv) == (0, want + "\n", "")
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"result": want}
+
     def test_wrong_prime_class_rejected(self, capsys):
         code, _, err = run_cli(capsys, "loop", "add", "5", "10", "--p", "5")
         assert code == 2
@@ -242,6 +264,25 @@ class TestCheck:
         # reports agree in shape; the sampled points differ behind the scenes
         assert out1 == out2
 
+    def test_zero_samples_is_an_input_error(self, capsys):
+        assert run_cli(capsys, "check", "oracle", "--samples", "0") == (
+            2, "", "error: ParseError: --samples must be at least 1\n"
+        )
+
+    def test_failing_property_exits_one(self, capsys, monkeypatch):
+        records = [
+            {"suite": "oracle", "property": "a", "samples": 3, "failures": []},
+            {"suite": "oracle", "property": "b", "samples": 3, "failures": ["x=7", "x=14"]},
+        ]
+        monkeypatch.setattr(checks, "run_suite", lambda *args: records)
+        assert run_cli(capsys, "check", "oracle", "--samples", "3") == (1, (
+            "oracle/a: 3 samples, 0 failures\n"
+            "oracle/b: 3 samples, 2 failures\n"
+            "    counterexample: x=7\n"
+            "    counterexample: x=14\n"
+            "FAIL: 2 properties, 1 failing\n"
+        ), "")
+
     def test_records_sorted_by_suite_and_property(self, capsys):
         code, out, _ = run_cli(
             capsys, "check", "all", "--samples", "2", "--format", "json"
@@ -313,6 +354,23 @@ class TestCaps:
             "error: ParseError: binom exponent: the power of ten after e must lie in "
             f"[-{MAX_DECIMAL_EXPONENT}, {MAX_DECIMAL_EXPONENT}]\n"
         )
+
+
+class TestNegativeArguments:
+    """argparse reads an argument such as -1/2 as a flag; after `--` it is a
+    positional argument."""
+
+    def test_fraction_reads_as_a_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analytic", "binom", "-1/2", "7", "--prec", "4"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_after_double_dash_it_is_an_argument(self, capsys):
+        ctx = PrimeContext(7, 4)
+        want = binomial_series(from_rational(-1, 2, ctx), from_int(7, ctx))
+        code, out, err = run_cli(capsys, "analytic", "binom", "--prec", "4", "--", "-1/2", "7")
+        assert (code, out, err) == (0, format_padic(want) + "\n", "")
 
 
 class TestPrimeClass:

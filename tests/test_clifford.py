@@ -11,7 +11,6 @@ from padicloop.clifford import (
     ProjectiveRotation,
     SpherePoint,
     Vector3,
-    conjugate_matrix,
     exp_horizontal,
     exp_vertical,
     iota,

@@ -19,7 +19,7 @@ from padicloop.clifford import (
     sigma_z,
     stereo,
 )
-from padicloop.errors import DomainError, NoSolution, OutsideDisk
+from padicloop.errors import DomainError, OutsideDisk
 from padicloop.loop import (
     Deviation,
     DiskPoint,
@@ -89,6 +89,24 @@ def assert_matches_gaussian(z, g, p):
 
 def gaussian_left_divide(a, b):
     return (b - a) / (GaussianRational(1) + a.conj() * b)
+
+
+def gaussian_deviation(a, b):
+    one = GaussianRational(1)
+    return (one - a * b.conj()) / (one - a.conj() * b)
+
+
+def boundary_part(rng, ctx, kind):
+    """A disk component of the given precision kind."""
+    if kind == "exact-zero":
+        return PadicNumber.exact_zero(ctx)
+    if kind == "inexact-zero":
+        return PadicNumber.zero_mod(ctx, rng.randint(1, ctx.precision + 2))
+    x = rand_padic(rng, ctx)
+    return x if kind == "full" else x.truncate(x.v + rng.randint(1, ctx.precision))
+
+
+BOUNDARY_KINDS = ("exact-zero", "inexact-zero", "truncated", "full")
 
 
 class TestDiskPoint:
@@ -317,7 +335,21 @@ class TestRightSolve:
             K = b.value * a.value
             det = one - K.re * K.re - K.im * K.im
             assert det.valuation == 0
-        assert NoSolution("singular").reason == "singular"
+
+    @pytest.mark.parametrize("p", [3, 7, 11])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_boundary_precision_inputs_always_solve(self, p, n):
+        # every part an exact zero, an inexact zero O(p^m) with m <= N + 2,
+        # truncated or full: the system never fails and y (+) a = b holds
+        ctx = PrimeContext(p, n)
+        rng = random.Random(f"rsolve-boundary:{p}:{n}")
+        for _ in range(300):
+            re_a, im_a, re_b, im_b = (
+                boundary_part(rng, ctx, rng.choice(BOUNDARY_KINDS)) for _ in range(4)
+            )
+            a, b = DiskPoint(QpiElement(re_a, im_a)), DiskPoint(QpiElement(re_b, im_b))
+            y = right_solve(a, b)
+            assert loop_add(y, a).value.eq_to(b.value), (a, b, y)
 
 
 class TestDeviation:
@@ -424,6 +456,81 @@ class TestNonAssociativity:
                 witness = (na, nb, nc)
                 break
         assert witness is not None, "no witness in the 27-triple search space"
+
+
+class ExactLoop:
+    add = staticmethod(gaussian_loop_add)
+    dev = staticmethod(gaussian_deviation)
+    apply = staticmethod(GaussianRational.__mul__)
+
+
+class KernelLoop:
+    add = staticmethod(loop_add)
+    dev = staticmethod(deviation)
+    apply = staticmethod(deviation_apply)
+
+
+# name -> (L, a, b, c) -> (lhs, rhs) in the loop L, with dev(a, b) the
+# deviation factor (1 - a conj(b))/(1 - conj(a) b) acting by apply
+K_LOOP_AXIOMS = {
+    "left-loop": lambda L, a, b, c: (L.dev(a, b), L.dev(L.add(a, b), b)),
+    "gyrocommutative": lambda L, a, b, c: (
+        L.add(a, b), L.apply(L.dev(a, b), L.add(b, a))
+    ),
+    "left-bol": lambda L, a, b, c: (
+        L.add(a, L.add(b, L.add(a, c))), L.add(L.add(a, L.add(b, a)), c)
+    ),
+    "automorphic-inverse": lambda L, a, b, c: (-L.add(a, b), L.add(-a, -b)),
+}
+
+# identities the disk loop does not satisfy
+NOT_K_LOOP_AXIOMS = {
+    "right-bol": lambda L, a, b, c: (
+        L.add(L.add(L.add(c, a), b), a), L.add(c, L.add(L.add(a, b), a))
+    ),
+    "associative": lambda L, a, b, c: (L.add(L.add(a, b), c), L.add(a, L.add(b, c))),
+}
+
+
+def kernel_value(x):
+    return x.factor if isinstance(x, Deviation) else x.value
+
+
+class TestKLoopAxioms:
+    """The remaining axioms of a gyrocommutative gyrogroup (a K-loop): each
+    holds exactly on Gaussian rationals, and in the kernel both sides agree
+    and each matches its exact value digit for digit up to the m it claims."""
+
+    @pytest.mark.parametrize("p", [3, 7, 11])
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    @pytest.mark.parametrize("axiom", K_LOOP_AXIOMS)
+    def test_axiom_exact_and_in_kernel(self, axiom, n, p):
+        identity = K_LOOP_AXIOMS[axiom]
+        ctx = PrimeContext(p, n)
+        rng = random.Random(f"k-loop:{axiom}:{p}:{n}")
+        for _ in range(60):
+            (ga, za), (gb, zb), (gc, zc) = (rand_disk_gaussian(rng, ctx) for _ in range(3))
+            gl, gr = identity(ExactLoop, ga, gb, gc)
+            assert gl == gr, (ga, gb, gc)
+            kl, kr = identity(KernelLoop, DiskPoint(za), DiskPoint(zb), DiskPoint(zc))
+            kl, kr = kernel_value(kl), kernel_value(kr)
+            assert kl.eq_to(kr), (ga, gb, gc)
+            assert_matches_gaussian(kl, gl, p)
+            assert_matches_gaussian(kr, gr, p)
+
+    @pytest.mark.parametrize("identity", NOT_K_LOOP_AXIOMS)
+    def test_negative_control_fails_exactly(self, identity):
+        rng = random.Random(f"not-k-loop:{identity}")
+        held = 0
+        for p in (3, 7, 11):
+            for _ in range(60):
+                a, b, c = (
+                    GaussianRational(rand_disk_fraction(rng, p), rand_disk_fraction(rng, p))
+                    for _ in range(3)
+                )
+                lhs, rhs = NOT_K_LOOP_AXIOMS[identity](ExactLoop, a, b, c)
+                held += lhs == rhs
+        assert held <= 18
 
 
 class TestSphereLoopAdd:

@@ -19,8 +19,17 @@ import pytest
 
 from padicloop import analytic
 from padicloop.analytic import arcsin, arctan, binomial_series, cos, exp, log, sin, tan
+from padicloop.clifford import SpherePoint, exp_horizontal, lift, rotation_act, stereo
 from padicloop.context import PrimeContext
-from padicloop.loop import DiskPoint, deviation, left_divide, loop_add
+from padicloop.loop import (
+    DiskPoint,
+    deviation,
+    deviation_apply,
+    left_divide,
+    loop_add,
+    right_solve,
+    sphere_loop_add,
+)
 from padicloop.padic import from_rational
 from padicloop.qpi import QpiElement
 
@@ -55,8 +64,12 @@ def one_like(x):
     return QpiElement.one(x.ctx) if isinstance(x, QpiElement) else from_rational(1, 1, x.ctx)
 
 
+def qpi(x):
+    return x if isinstance(x, QpiElement) else QpiElement(x)
+
+
 def disk(x):
-    return DiskPoint(x if isinstance(x, QpiElement) else QpiElement(x))
+    return DiskPoint(qpi(x))
 
 
 # name -> (number of inputs, their least valuation, operation)
@@ -73,10 +86,22 @@ OPS = {
     "loop_add": (2, 1, lambda a, b: loop_add(disk(a), disk(b))),
     "left_divide": (2, 1, lambda a, b: left_divide(disk(a), disk(b))),
     "deviation": (2, 1, lambda a, b: deviation(disk(a), disk(b))),
+    "right_solve": (2, 1, lambda a, b: right_solve(disk(a), disk(b))),
+    "deviation_apply": (
+        3, 1, lambda a, b, x: deviation_apply(deviation(disk(a), disk(b)), disk(x))
+    ),
+    "lift": (1, 1, lambda x: lift(qpi(x))),
+    "stereo-of-lift": (1, 1, lambda x: stereo(lift(qpi(x)))),
+    "sphere_loop_add": (2, 1, lambda a, b: sphere_loop_add(lift(qpi(a)), lift(qpi(b)))),
+    "rotation_act-exp_horizontal": (
+        2, 1, lambda b, x: rotation_act(exp_horizontal(qpi(b)), lift(qpi(x)))
+    ),
 }
 
 
 def components(x):
+    if isinstance(x, SpherePoint):
+        return (x.vec.a, x.vec.b, x.vec.c)
     x = getattr(x, "value", getattr(x, "factor", x))  # DiskPoint, Deviation
     return (x.re, x.im) if isinstance(x, QpiElement) else (x,)
 
