@@ -2,8 +2,7 @@
 """Standing mutation gate: each mutant weakens one precision rule or one
 formula, and some tier-1 test must notice.
 
-    python tests/mutation_gate.py          # every mutant
-    python tests/mutation_gate.py NAME...  # only these
+    python tests/mutation_gate.py
 
 For each entry the script copies src/ to a temporary directory, replaces the
 entry's old text, which must occur exactly once, by its new text, and runs the
@@ -81,11 +80,7 @@ def run_tests(src, tests):
     return subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
 
 
-def main(names):
-    unknown = [n for n in names if n not in MUTANTS]
-    if unknown:
-        sys.exit(f"unknown mutant(s): {', '.join(unknown)}")
-    chosen = names or list(MUTANTS)
+def main():
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -95,14 +90,13 @@ def main(names):
         )
         if not probe.stdout.startswith(str(src)):
             sys.exit(f"padicloop does not import from the copy: {probe.stdout or probe.stderr}")
-        tests = sorted({t for name in chosen for t in MUTANTS[name][3]})
+        tests = sorted({t for entry in MUTANTS.values() for t in entry[3]})
         baseline = run_tests(src, tests)
         if baseline.returncode != 0:
             print(baseline.stdout[-3000:])
             sys.exit("the unmutated copy fails its tests; no kill would mean anything")
         survivors = []
-        for name in chosen:
-            module, old, new, tests = MUTANTS[name]
+        for name, (module, old, new, tests) in MUTANTS.items():
             path = src / "padicloop" / module
             text = (ROOT / "src" / "padicloop" / module).read_text()
             if text.count(old) != 1:
@@ -121,11 +115,11 @@ def main(names):
                 survivors.append(name)
             print(f"{name}: {verdict} in {seconds:.1f} s", flush=True)
     if survivors:
-        print(f"FAIL: {len(survivors)} of {len(chosen)} mutants not killed: {', '.join(survivors)}")
+        print(f"FAIL: {len(survivors)} of {len(MUTANTS)} mutants not killed: {', '.join(survivors)}")
         return 1
-    print(f"PASS: {len(chosen)} mutants killed")
+    print(f"PASS: {len(MUTANTS)} mutants killed")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

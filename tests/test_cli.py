@@ -357,14 +357,7 @@ class TestCaps:
 
 
 class TestNegativeArguments:
-    """argparse reads an argument such as -1/2 as a flag; after `--` it is a
-    positional argument."""
-
-    def test_fraction_reads_as_a_flag(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["analytic", "binom", "-1/2", "7", "--prec", "4"])
-        assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
+    """An argument such as -1/2 after `--` is a positional argument."""
 
     def test_after_double_dash_it_is_an_argument(self, capsys):
         ctx = PrimeContext(7, 4)
