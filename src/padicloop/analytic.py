@@ -17,28 +17,31 @@ are one exp-type series, sum_k (sign x^s)^k x^e / (s k + e)!, with (s, e, sign)
 = (1, 0, +1), (2, 1, -1) and (2, 0, -1); its tail after the term x^n is the
 exp-type bound at n + s - 1.
 
-exp, log, sin and cos (so also tan, arctan and arcsin) are summed in two
-steps.  A precision plan runs the object recurrence term by term, the one that
-fixes every component's (kind, v, r, m), until a digit-free bound shows that
-no later term can lower any component's m: the bound is the element valuation
-n*v(x) - v_p(n!) (exp, sin, cos) or n*v(x) - floor(log_p n) (log) together
-with the components' m at that point.  The sum's m is then frozen, and the
-stop index is the first n whose tail bound above reaches it.  The value is
-then summed on the raw integers of x (a Gaussian-integer pair for Q_p(i))
-modulo p^(m + g), with g the valuation of a common denominator: n! for exp,
-sin and cos, lcm(1..n) for log.  Rectangular splitting (Paterson-Stockmeyer,
-and Smith for hypergeometric series) computes the powers x^1..x^s with
+exp, log, sin, cos and binomial (so also tan, arctan and arcsin) are summed
+in two steps.  A precision plan runs the object recurrence term by term, the
+one that fixes every component's (kind, v, r, m), until a digit-free bound
+shows that no later term can lower any component's m: the bound is the element
+valuation n*v(x) - v_p(n!) (exp, sin, cos, binomial) or n*v(x) -
+floor(log_p n) (log) together with the components' m at that point.  The sum's
+m is then frozen, and the stop index is the first n whose tail bound above
+reaches it.  The value is then summed on the raw integers of x (a
+Gaussian-integer pair for Q_p(i)) modulo p^(m + g), with g the valuation of a
+common denominator: n! for exp, sin and cos, lcm(1..n) for log, b^n n! for
+binomial with alpha = a/b.  Rectangular splitting (Paterson-Stockmeyer, and
+Smith for hypergeometric series) computes the powers x^1..x^s with
 s ~ sqrt(n), sums blocks of s terms with small-integer coefficients, and joins
 the blocks by Horner's rule in x^s, so about 2 sqrt(n) full-width products
 replace n of them.  A single inverse of the denominator's unit ends it.  A
 series that stops before the plan is proven simply finishes on the object
 recurrence, so every digit and every O-term is the recurrence's own.
 
-binomial_series (whose alpha is a full-width p-adic, so its coefficients are
-not small integers) and matrix_exp (exp's series on 2x2 matrices, with no plan)
-keep the term recurrence; there each term is divided by a small integer with
-div_int, which divides the integer's unit out exactly with one inverse modulo
-that word-sized unit and none modulo p^N.
+binomial_series reaches the engine only when alpha is a small rational a/b
+modulo its precision, which rational reconstruction recovers from alpha's
+digits; any other alpha keeps the term recurrence.  matrix_exp (exp's series
+on 2x2 matrices, with no plan) is the only series that never leaves it.  There
+each term is divided by a small integer with div_int, which divides the
+integer's unit out exactly with one inverse modulo that word-sized unit and
+none modulo p^N.
 """
 
 from enum import Enum
@@ -97,25 +100,28 @@ def _comps(z):
     return (z.re, z.im) if isinstance(z, QpiElement) else (z,)
 
 
-def _plan(total, carrier, x, n, step, tail, dip):
+def _plan(total, carrier, x, n, step, tail, dip, cap=INFINITE):
     """Where the object recurrence would stop, and the m it would report.
 
     `total` is the partial sum after term n, and `carrier` is what the
-    recurrence multiplies by `x` next (the term itself for exp, sin and cos,
-    x^n for log).  The total's m is the minimum of its terms' m, so once no
-    later term can lower any component's m it is frozen, and the stop is the
-    first index n + k*step whose tail bound reaches it.
+    recurrence multiplies by `x` next (the term itself for exp, sin, cos and
+    binomial, x^n for log).  The total's m is the minimum of its terms' m, so
+    once no later term can lower any component's m it is frozen, and the stop
+    is the first index n + k*step whose tail bound reaches it.
 
     The bound is digit-free.  With E the carrier's valuation bound and
     vx that of x, PadicNumber's rules (a product's m is the smaller of
     m(a) + v(b) and m(b) + v(a), a sum's the smaller m, div_int keeps at
     most N digits) keep every later inexact component at m >= E' + R, where
     E' is that term's valuation bound and R = min(m - E over the carrier,
-    m - vx over x, N); exact zeros keep m >= E' + Q in the same way, Q
-    taking the exact zeros' m.  E' never falls more than `dip` below E, by
-    v_p(k!/n!) <= (k - n) - 1 + s_p(n) // (p-1) for k > n, s_p the base-p
-    digit sum (exp, sin, cos), and v_p(k) <= k - n - 1 + floor(log_p(n + 1))
-    (log).
+    m - vx over x, N, cap); exact zeros keep m >= E' + Q in the same way, Q
+    taking the exact zeros' m.  Binomial passes cap = m(alpha): each term's
+    further factor alpha - (k - 1) has valuation >= 0, which E' leaves out,
+    and m >= min(m(alpha), N), so it lowers R and Q to no less than that,
+    however many digits of alpha it cancels.  E' never falls more than `dip`
+    below E, by v_p(k!/n!) <= (k - n) - 1 + s_p(n) // (p-1) for k > n, s_p
+    the base-p digit sum (exp, sin, cos, binomial), and v_p(k) <= k - n - 1
+    + floor(log_p(n + 1)) (log).
 
     Returns (stop, tail at stop, each component's final m, None for an exact
     zero), or None while this does not yet prove the m frozen.
@@ -124,7 +130,7 @@ def _plan(total, carrier, x, n, step, tail, dip):
     vx = x.valuation_lower_bound
     E = carrier.valuation_lower_bound
     low = E - dip
-    N = x.ctx.precision
+    N = min(x.ctx.precision, cap)
     R = min(
         min(c.m for c in _comps(carrier) if not c.is_exact_zero) - E,
         min(c.m for c in _comps(x) if not c.is_exact_zero) - vx,
@@ -225,20 +231,30 @@ def _rect(z, blocks, P):
     return acc
 
 
-def _hyper_blocks(qs, P):
-    """Blocks of T = sum_{k<=K} z^k q_k q_(k+1) ... q_(K-1) for the K small
-    integers qs, so that sum_{k<=K} z^k / (q_0 ... q_(k-1)) = T / (q_0 ...
-    q_(K-1))."""
+def _hyper_blocks(qs, P, ps=None):
+    """Blocks of T = sum_{k<=K} z^k ps[0]...ps[k-1] qs[k]...qs[K-1] for the
+    K small integers qs and ps (all 1 if ps is None), so that
+    sum_{k<=K} z^k prod_{i<k} ps[i]/qs[i] = T / (qs[0]...qs[K-1])."""
     K = len(qs)
     s = _block_size(K)
+    starts = range(0, K + 1, s)
     blocks, w = [], 1
-    for start in reversed(range(0, K + 1, s)):
+    for start in reversed(starts):
         coeffs = list(accumulate(reversed(qs[start:start + s]), mul))[::-1]
         if start + s > K:
             coeffs.append(1)
         blocks.append((w, coeffs))
         w = w * coeffs[0] % P
-    return blocks
+    if ps is None:
+        return blocks
+    # each block also takes the ps before its terms: those of earlier blocks
+    # in its weight, its own in its coefficients
+    out, u = [], 1
+    for (w, coeffs), start in zip(reversed(blocks), starts):
+        head = list(accumulate(ps[start:start + s], mul, initial=1))
+        out.append((u * w % P, list(map(mul, head, coeffs))))
+        u = u * head[-1] % P
+    return out[::-1]
 
 
 def _log_blocks(L, K, P):
@@ -265,9 +281,7 @@ def _planned_sum(x, t, ms, den, g, numerator):
     tail bound t)."""
     ctx = x.ctx
     top = max(m for m in ms if m is not None)
-    # plain powers: p^(top + g) lies beyond what ctx caches, and caching it
-    # would hold every smaller power too
-    pg = ctx.p**g
+    pg = ctx.pow(g)
     P = pg * ctx.pow(top)
     T = numerator(_raw(x, P), P)
     inv = ctx.inv_mod(den // pg % ctx.pow(top), top)
@@ -304,6 +318,45 @@ def _log_value(x, stop, t, ms):
         x, t, ms, L, _ilog(stop, x.ctx.p),
         lambda X, P: _gmul(_rect((-X[0] % P, -X[1] % P), _log_blocks(L, stop - 1, P), P), X, P),
     )
+
+
+def _binomial_value(x, a, b, stop, t, ms):
+    """sum_{k<=stop} binom(a/b, k) x^k, whose coefficient ratio is
+    (a - k b) / ((k + 1) b), over the denominator b^stop stop!."""
+    ps = range(a, a - stop * b, -b)
+    qs = range(b, (stop + 1) * b, b)
+    return _planned_sum(
+        x, t, ms, b**stop * factorial(stop), _vp_factorial(stop, x.ctx.p),
+        lambda X, P: _rect(X, _hyper_blocks(qs, P, ps), P),
+    )
+
+
+# bounds |a| and b of an exponent the engine sums: a block coefficient is a
+# product of about sqrt(n) numbers a - k b
+_SMALL = 1 << 20
+
+
+def _small_rational(alpha):
+    """(a, b) with a/b = alpha modulo p^m(alpha), b > 0 prime to p and |a|,
+    b < _SMALL, or None if there is none or alpha is a zero or not a scalar.
+
+    Wang's rational reconstruction: the half-extended Euclidean algorithm on
+    (p^r, unit) keeps each remainder congruent to its cofactor times the
+    unit, and the cofactors only grow, so it stops at the first remainder
+    below _SMALL or at the first cofactor that reaches it."""
+    if not isinstance(alpha, PadicNumber) or alpha.is_zero:
+        return None
+    ctx = alpha.ctx
+    r0, r1, t0, t1 = ctx.pow(alpha.r), alpha.unit, 0, 1
+    while r1 >= _SMALL:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        if abs(t1) >= _SMALL:
+            return None
+    a = r1 * ctx.p**alpha.v
+    if t1 % ctx.p == 0 or a >= _SMALL:
+        return None
+    return (a, t1) if t1 > 0 else (-a, -t1)
 
 
 # ---- the series ----
@@ -446,19 +499,32 @@ def binomial_series(alpha, x):
         )
     _require(ConvergenceDomain.BINOMIAL_DISK, x, "binomial_series")
     ctx = x.ctx
+    p = ctx.p
     one = _one_like(x)
     lb = x.valuation_lower_bound
     if lb == INFINITE:
         return one
+    ab = _small_rational(alpha)
+
+    def tail(n):
+        return (n + 1) * lb
+
     total = term = one
     n = 0
     while n < _MAX_TERMS:
         n += 1
         term = (term * x * (alpha - from_rational(n - 1, 1, ctx))).div_int(n)
         total = total + term
-        tail = (n + 1) * lb
-        if tail >= total.known_precision:
-            return total.truncate(tail)
+        if tail(n) >= total.known_precision:
+            return total.truncate(tail(n))
+        if ab:
+            # the factorial dip at step 1 (s_p(n) // (p - 1) - 1, by
+            # Legendre's formula), since each factor alpha - (k - 1) of a
+            # later term has valuation >= 0
+            dip = n // (p - 1) - _vp_factorial(n, p) - 1
+            plan = _plan(total, term, x, n, 1, tail, dip, alpha.m)
+            if plan:
+                return _binomial_value(x, *ab, *plan)
     raise PadicError("binomial series failed to terminate")
 
 

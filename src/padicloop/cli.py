@@ -23,8 +23,8 @@ from .qpi import QpiElement, format_qpi, require_prime_class
 # work and memory grow with both, so each is bounded where input enters
 MAX_PREC = 8192
 MAX_SAMPLES = 100000
-# Fraction expands binom's decimal exponent into a power of ten, and at p = 5
-# that power is alpha's valuation, below which every power of p gets cached
+# Fraction expands binom's decimal exponent into a power of ten, whose size
+# grows with the exponent; at p = 5 that power is also alpha's valuation
 MAX_DECIMAL_EXPONENT = 10000
 
 _ANALYTIC_FNS = {

@@ -39,10 +39,12 @@ class PrimeContext:
     """Carries p and the significant-digit count N every constructor targets.
 
     p and N are immutable.  Powers of p are cached because every normalization
-    reduces modulo some p^k, and the cache grows by unlocked appends: two
+    reduces modulo some p^k.  The cache holds p^k only for k <= 2N + 1, so a
+    far exponent (a literal's distant term, an alpha of huge valuation) costs
+    one power, not every power below it.  It grows by unlocked appends: two
     threads extending it at once can store a wrong power.  Share a context
-    between threads only after pow(k) has been called for the largest k they
-    will use, or give each thread its own.
+    between threads only after pow(2N + 1) has been called, or give each
+    thread its own.
     """
 
     __slots__ = ("p", "precision", "_powers")
@@ -62,9 +64,11 @@ class PrimeContext:
         raise AttributeError("PrimeContext is immutable")
 
     def pow(self, k):
-        """p**k for k >= 0, cached."""
+        """p**k for k >= 0, cached up to k = 2N + 1."""
         powers = self._powers
         while len(powers) <= k:
+            if k > 2 * self.precision + 1:
+                return self.p**k
             powers.append(powers[-1] * self.p)
         return powers[k]
 

@@ -40,7 +40,13 @@ MUTANTS = {
         SERIES,
     ),
     "binomial-tail-plus-1": (
-        "analytic.py", "tail = (n + 1) * lb\n", "tail = (n + 1) * lb + 1\n", SERIES,
+        "analytic.py", "return (n + 1) * lb\n", "return (n + 1) * lb + 1\n", SERIES,
+    ),
+    "binomial-dip-minus-1": (
+        "analytic.py",
+        "dip = n // (p - 1) - _vp_factorial(n, p) - 1\n",
+        "dip = n // (p - 1) - _vp_factorial(n, p) - 2\n",
+        SERIES,
     ),
     "plan-final-m-plus-1": (
         "analytic.py", "min(mc, t) for mc in frozen", "t + 1 for mc in frozen", SERIES,

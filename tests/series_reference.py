@@ -7,9 +7,11 @@ full-width PadicNumber / QpiElement product per term.  The public functions
 below compose them exactly as analytic.py composes its own, so the engine
 must reproduce every digit and every (kind, v, unit, r, m) of them.
 
-`binomial_two_carrier` is analytic.binomial_series as it was before it carried
-the term itself: the coefficient c and the power x^n as two full-width
-objects, multiplied together for each term.
+`binomial_series` is the term-carrying object recurrence that analytic.py ran
+before binomial reached the engine, copied verbatim, and arcsin composes it.
+`binomial_two_carrier` is that recurrence as it was before it carried the term
+itself: the coefficient c and the power x^n as two full-width objects,
+multiplied together for each term.
 """
 
 from padicloop.analytic import (
@@ -20,7 +22,6 @@ from padicloop.analytic import (
     _one_like,
     _real_in_real_out,
     _require,
-    binomial_series,
 )
 from padicloop.errors import DomainError, PadicError
 from padicloop.padic import INFINITE, PadicNumber, from_rational
@@ -139,6 +140,34 @@ def arcsin(x):
     root = binomial_series(half, -(x * x))
     result = log(i * x + root) * (-i)
     return _real_in_real_out(result, was_real)
+
+
+def binomial_series(alpha, x):
+    """Sum binom(alpha, n) x^n for alpha in Z_p, |x|_p < 1.
+
+    Coefficients lie in Z_p (integrality passes to the completion), which is
+    what makes the plain (n+1)*v(x) tail bound valid.
+    """
+    if alpha.valuation_lower_bound < 0:
+        raise DomainError(
+            f"binomial_series: alpha has valuation {alpha.valuation}, not in Z_p"
+        )
+    _require(ConvergenceDomain.BINOMIAL_DISK, x, "binomial_series")
+    ctx = x.ctx
+    one = _one_like(x)
+    lb = x.valuation_lower_bound
+    if lb == INFINITE:
+        return one
+    total = term = one
+    n = 0
+    while n < _MAX_TERMS:
+        n += 1
+        term = (term * x * (alpha - from_rational(n - 1, 1, ctx))).div_int(n)
+        total = total + term
+        tail = (n + 1) * lb
+        if tail >= total.known_precision:
+            return total.truncate(tail)
+    raise PadicError("binomial series failed to terminate")
 
 
 def binomial_two_carrier(alpha, x):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from padicloop import checks
+from padicloop import checks, cli
 from padicloop.analytic import binomial_series
 from padicloop.cli import MAX_DECIMAL_EXPONENT, MAX_PREC, MAX_SAMPLES, main
 from padicloop.context import MAX_PRIME, PrimeContext
@@ -342,6 +342,18 @@ class TestCaps:
         code, out, _ = run_cli(capsys, "analytic", "binom", alpha, "7", "--prec", "4")
         assert code == 0
         assert out == shown + "\n"
+
+    def test_binom_far_exponent_keeps_power_cache_small(self, capsys, monkeypatch):
+        # at p = 5 alpha = 1e10000 has valuation 10000; the point then fails
+        # to parse, since Q_p(i) needs p = 3 (mod 4)
+        seen = []
+        context = cli._context
+        monkeypatch.setattr(cli, "_context", lambda args: seen.append(context(args)) or seen[-1])
+        code, out, err = run_cli(capsys, "analytic", "binom", "1e10000", "5", "--p", "5")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: WrongPrimeClass: ")
+        (ctx,) = seen
+        assert len(ctx._powers) <= 2 * ctx.precision + 2
 
     @pytest.mark.parametrize("alpha", [
         "1e-10000000", f"1E+{MAX_DECIMAL_EXPONENT + 1}", " 1.5e-1_000_000 ",

@@ -326,8 +326,8 @@ class TestRightSolve:
             assert_matches_gaussian(got, GaussianRational(s, t), 7)
 
     def test_system_determinant_is_unit(self):
-        # |b a| <= p^-2 keeps 1 - K1^2 - K2^2 a unit, so inside D the
-        # NoSolution branches never fire
+        # |b a| <= p^-2 keeps 1 - K1^2 - K2^2 a unit, so right_solve's
+        # division never meets a zero determinant
         rng = random.Random(84)
         one = from_int(1, C7)
         for _ in range(20):

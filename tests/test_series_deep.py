@@ -1,8 +1,9 @@
 """Byte identity of the rectangular-splitting series engine at depth.
 
-exp, sin, cos, tan, log, arctan and arcsin are compared with the same
-functions composed from the term-by-term reference in series_reference.py,
-at N in {256, 512} on p in {3, 7, 11, 10007} and at N = 1024 on p = 7.
+exp, sin, cos, tan, log, arctan and arcsin, and binomial for several
+exponents, are compared with the same functions composed from the
+term-by-term reference in series_reference.py, at N in {256, 512} on p in
+{3, 7, 11, 10007} and at N = 1024 on p = 7.
 Every component must agree in (kind, v, unit, r, m), the m of exact zeros
 included, since a zero component prints as O(p^m).  The inputs cover Q_p
 values of valuation 1..3, full, pure-imaginary and real Q_p(i) values,
@@ -117,6 +118,87 @@ def test_engine_matches_term_by_term_reference(p, N, label):
         if diff:
             mismatched[fn] = diff
     assert mismatched == {}
+
+
+def deep_alphas(ctx):
+    """1/2, -3, 2 and -5/7 (outside Z_p at p = 7), whose small a/b the engine
+    sums, and a random N-digit unit, which keeps the term loop."""
+    rng = random.Random(f"alpha:{ctx.p}:{ctx.precision}")
+    fixed = [from_rational(a, b, ctx) for a, b in ((1, 2), (-3, 1), (2, 1), (-5, 7))]
+    return fixed + [_scalar(rng, ctx, 0, ctx.precision)]
+
+
+def binomial_mismatches(alphas, x):
+    return [
+        repr(alpha)
+        for alpha in alphas
+        if mismatched_fields(
+            outcome(lambda y: analytic.binomial_series(alpha, y), x),
+            outcome(lambda y: reference.binomial_series(alpha, y), x),
+        )
+    ]
+
+
+@pytest.mark.parametrize("p,N,label", CASES, ids=[f"p{p}-N{N}-{lab}" for p, N, lab in CASES])
+def test_binomial_matches_term_loop_reference(p, N, label):
+    ctx = PrimeContext(p, N)
+    alphas = deep_alphas(ctx)
+    assert analytic._small_rational(alphas[-1]) is None
+    assert binomial_mismatches(alphas, make_input(label, ctx)) == []
+
+
+@pytest.mark.parametrize("N", [256, 512])
+def test_binomial_of_huge_valuation_alpha_matches_term_loop(N):
+    # the CLI's `binom 1e10000` at p = 5: alpha has valuation 10000
+    ctx = PrimeContext(5, N)
+    alpha = from_rational(10**10000, 1, ctx)
+    assert analytic._small_rational(alpha) is None
+    for label in ("qp_v1", "qp_v3", "arith_short", "long_literal"):
+        assert binomial_mismatches([alpha], make_input(label, ctx)) == []
+    assert len(ctx._powers) <= 2 * N + 2
+
+
+@pytest.mark.parametrize("p", [3, 7, 11, 10007])
+def test_small_rational_exponents_reach_the_engine(p, monkeypatch):
+    ctx = PrimeContext(p, 64)
+    reached = []
+    value = analytic._binomial_value
+    monkeypatch.setattr(
+        analytic, "_binomial_value", lambda *args: reached.append(args[1:3]) or value(*args)
+    )
+    for label in ("qp_v1", "qpi"):
+        x = make_input(label, ctx)
+        for alpha in deep_alphas(ctx):
+            try:
+                analytic.binomial_series(alpha, x)
+            except PadicError:
+                assert p == 7  # -5/7 is outside Z_7
+    pairs = [(1, 2), (-3, 1), (2, 1)] + ([] if p == 7 else [(-5, 7)])
+    assert reached == pairs * 2
+
+
+def test_binomial_plan_waits_for_its_dip(monkeypatch):
+    # after term 2 the dip lets term 3 stay at valuation 2 (x's v = 1 against
+    # the 3 of 3!), where its m could be 2 + R = 6, below the sum's imaginary
+    # m = 7, so the plan waits; term 3's factor 1/2 - 2 = -3/2 lifts it to
+    # valuation 3, and the plan is proven after it.  No output shows a looser
+    # dip (the sum's m never fell after its first term in any input tried),
+    # so this pins the term the plan starts from
+    ctx = PrimeContext(3, 6)
+    x = QpiElement(PadicNumber.make(ctx, 1, 1, 5), PadicNumber.make(ctx, 2, 2, 8))
+    half = from_rational(1, 2, ctx)
+    proven = []
+    plan = analytic._plan
+
+    def recording(*args):
+        result = plan(*args)
+        if result:
+            proven.append(args[3])
+        return result
+
+    monkeypatch.setattr(analytic, "_plan", recording)
+    assert binomial_mismatches([half], x) == []
+    assert proven == [3]
 
 
 def _random_component(rng, ctx):
