@@ -52,7 +52,7 @@ from operator import mul
 from .errors import DomainError, PadicError
 from .matrix import Mat2
 from .padic import INFINITE, PadicNumber, from_rational
-from .qpi import QpiElement
+from .qpi import QpiElement, gaussian_product
 
 
 class ConvergenceDomain(Enum):
@@ -189,13 +189,9 @@ def _vp_factorial(n, p):
 
 
 def _gmul(a, b, P):
-    """Gaussian-integer product mod P, with three big products (two when
-    either factor is real)."""
-    (ar, ai), (br, bi) = a, b
-    if not (ai and bi):
-        return (ar * br - ai * bi) % P, (ar * bi + ai * br) % P
-    rr, ii = ar * br, ai * bi
-    return (rr - ii) % P, ((ar + ai) * (br + bi) - rr - ii) % P
+    """Gaussian-integer product mod P."""
+    re, im = gaussian_product(a, b)
+    return re % P, im % P
 
 
 def _raw(x, P):
@@ -338,13 +334,13 @@ _SMALL = 1 << 20
 
 def _small_rational(alpha):
     """(a, b) with a/b = alpha modulo p^m(alpha), b > 0 prime to p and |a|,
-    b < _SMALL, or None if there is none or alpha is a zero or not a scalar.
+    b < _SMALL, or None if there is none or alpha is a zero.
 
     Wang's rational reconstruction: the half-extended Euclidean algorithm on
     (p^r, unit) keeps each remainder congruent to its cofactor times the
     unit, and the cofactors only grow, so it stops at the first remainder
     below _SMALL or at the first cofactor that reaches it."""
-    if not isinstance(alpha, PadicNumber) or alpha.is_zero:
+    if alpha.is_zero:
         return None
     ctx = alpha.ctx
     r0, r1, t0, t1 = ctx.pow(alpha.r), alpha.unit, 0, 1
@@ -491,8 +487,12 @@ def binomial_series(alpha, x):
     """Sum binom(alpha, n) x^n for alpha in Z_p, |x|_p < 1.
 
     Coefficients lie in Z_p (integrality passes to the completion), which is
-    what makes the plain (n+1)*v(x) tail bound valid.
+    what makes the plain (n+1)*v(x) tail bound valid.  They need not lie in
+    Z_p[i] for alpha in Q_p(i) (binom(i, 7) has 7-adic valuation -1), so
+    alpha must be a scalar.
     """
+    if not isinstance(alpha, PadicNumber):
+        raise DomainError("binomial_series: alpha must be a scalar of Q_p")
     if alpha.valuation_lower_bound < 0:
         raise DomainError(
             f"binomial_series: alpha has valuation {alpha.valuation}, not in Z_p"

@@ -5,6 +5,14 @@ restriction makes -1 a non-residue, which has a pleasant computational
 consequence: in re^2 + im^2 the leading digits can never cancel, so the norm
 is computed without any precision loss and division is exactly as well
 conditioned as multiplication.
+
+Each part of a product has a digit-free m: the smaller m of its two scalar
+products, for example m(re(zw)) = min(m(ac), m(bd)) with m(ac) = v(a) + v(c)
++ min(r(a), r(c)).  Its value modulo p^m is the exact residue of the
+representatives' product, so when all four parts are nonzero the product is
+formed on raw Gaussian integers (three big products) and each part is
+normalized once; a part that is zero, exact or not, takes the object
+formula.  The norm is formed the same way.
 """
 
 from .errors import DivisionByZero, PadicError, ParseError, PrecisionExhausted, WrongPrimeClass
@@ -103,7 +111,15 @@ class QpiElement:
 
     def norm(self):
         """z * conj(z) = re^2 + im^2 as a real scalar; never loses digits."""
-        return self.re * self.re + self.im * self.im
+        a, b = self.re, self.im
+        if a.is_zero or b.is_zero:
+            return a * a + b * b
+        V = min(a.v, b.v)
+        m = min(a.v + a.m, b.v + b.m)
+        # a part whose gap g has 2g >= r cannot touch the residue
+        h = (m - 2 * V + 1) // 2
+        A, B = _aligned(a, b, h, h)
+        return PadicNumber.make(self.ctx, 2 * V, A * A + B * B, m)
 
     def __add__(self, other):
         other = _coerce(other, self.ctx)
@@ -125,6 +141,21 @@ class QpiElement:
     def __mul__(self, other):
         other = _coerce(other, self.ctx)
         a, b, c, d = self.re, self.im, other.re, other.im
+        if not (a.is_zero or b.is_zero or c.is_zero or d.is_zero):
+            va, vb, vc, vd = a.v, b.v, c.v, d.v
+            m_re = min(va + vc + min(a.r, c.r), vb + vd + min(b.r, d.r))
+            m_im = min(va + vd + min(a.r, d.r), vb + vc + min(b.r, c.r))
+            base = min(va, vb) + min(vc, vd)
+            lo, hi = m_re - base, m_im - base
+            if lo > hi:
+                lo, hi = hi, lo
+            x, y = _aligned(a, b, lo, hi), _aligned(c, d, lo, hi)
+            if x and y:
+                re, im = gaussian_product(x, y)
+                ctx = a.ctx
+                return QpiElement(
+                    PadicNumber.make(ctx, base, re, m_re), PadicNumber.make(ctx, base, im, m_im)
+                )
         return QpiElement(a * c - b * d, a * d + b * c)
 
     def __rmul__(self, other):
@@ -176,6 +207,34 @@ class QpiElement:
 
     def __repr__(self):
         return f"QpiElement({format_qpi(self)})"
+
+
+def gaussian_product(x, y):
+    """The Gaussian-integer product x * y of (re, im) pairs, unreduced: three
+    big products, two when either factor is real."""
+    (a, b), (c, d) = x, y
+    if not (b and d):
+        return a * c - b * d, a * d + b * c
+    ac, bd = a * c, b * d
+    return ac - bd, (a + b) * (c + d) - ac - bd
+
+
+def _aligned(x, y, lo, hi):
+    """The units of the nonzero scalars x and y over p^min(v(x), v(y)), for a
+    raw product whose parts keep lo <= hi digits above its base.  The farther
+    one is dropped once its gap reaches hi, where it cannot touch either
+    part's residue; a gap in [lo, hi) gives None, since only the object
+    formula spares that power of p."""
+    g = x.v - y.v
+    if g == 0:
+        return x.unit, y.unit
+    if abs(g) >= hi:
+        return (0, y.unit) if g > 0 else (x.unit, 0)
+    if abs(g) >= lo:
+        return None
+    if g > 0:
+        return x.unit * x.ctx.pow(g), y.unit
+    return x.unit, y.unit * x.ctx.pow(-g)
 
 
 def _coerce(x, ctx):

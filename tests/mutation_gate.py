@@ -69,6 +69,18 @@ MUTANTS = {
         "r = min((min(x.r, n.r)",
         ("tests/test_qpi.py", "tests/test_precision_honesty.py"),
     ),
+    "qpi-mul-widest-m": (
+        "qpi.py",
+        "m_re = min(",
+        "m_re = max(",
+        ("tests/test_qpi.py", "tests/test_precision_honesty.py"),
+    ),
+    "qpi-mul-drops-a-term-early": (
+        "qpi.py",
+        "if abs(g) >= hi:",
+        "if abs(g) >= hi - 1:",
+        ("tests/test_qpi.py", "tests/test_precision_honesty.py"),
+    ),
     "rotation-act-sign": (
         "clifford.py", "r12 * -rep.m21", "r12 * rep.m21", ("tests/test_clifford.py",),
     ),

@@ -89,6 +89,14 @@ class TestDomains:
         with pytest.raises(DomainError):
             binomial_series(from_rational(1, 7, C7), from_int(7, C7))
 
+    def test_binomial_rejects_gaussian_alpha(self):
+        # binom(i, 7) has valuation -1, so the (n+1)v(x) tail bound would
+        # print a false digit: the exact sum's real part has 6 at 7^7, the
+        # term loop's had 1
+        for alpha in (QpiElement.i_unit(C7), QpiElement(from_rational(1, 2, C7))):
+            with pytest.raises(DomainError):
+                binomial_series(alpha, from_int(7, C7))
+
     def test_matrix_exp_rejects_unit_entry(self):
         z = QpiElement(from_int(7, C7))
         u = QpiElement(from_int(1, C7))

@@ -30,7 +30,7 @@ from padicloop.loop import (
     right_solve,
     sphere_loop_add,
 )
-from padicloop.padic import from_rational
+from padicloop.padic import from_rational, sqrt
 from padicloop.qpi import QpiElement
 
 PRIMES = (3, 7, 11)
@@ -68,12 +68,19 @@ def qpi(x):
     return x if isinstance(x, QpiElement) else QpiElement(x)
 
 
+def real(x):
+    return x.re if isinstance(x, QpiElement) else x
+
+
 def disk(x):
     return DiskPoint(qpi(x))
 
 
 # name -> (number of inputs, their least valuation, operation)
 OPS = {
+    "mul": (2, -2, lambda a, b: a * b),
+    "norm": (1, -2, lambda x: qpi(x).norm()),
+    "sqrt": (1, -2, lambda x: sqrt(real(x) * real(x))),
     "div": (2, -2, lambda a, b: a / b),
     "exp": (1, 1, exp),
     "log": (1, 1, lambda x: log(one_like(x) + x)),

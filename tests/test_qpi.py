@@ -386,3 +386,101 @@ class TestMixedScalarOperands:
         for x in scalars:
             for y in scalars:
                 assert x - y == x + (-y), f"{x} - {y}"
+
+
+def object_mul(z, w):
+    a, b, c, d = z.re, z.im, w.re, w.im
+    return QpiElement(a * c - b * d, a * d + b * c)
+
+
+def object_norm(z):
+    return z.re * z.re + z.im * z.im
+
+
+class TestRawProduct:
+    """The product and the norm on raw Gaussian integers against the object
+    formulas, every field of every part, m included; division, built on
+    both, against the object product divided by the object norm."""
+
+    def check(self, z, w):
+        got, want = z * w, object_mul(z, w)
+        assert [fields(x) for x in (got.re, got.im, z.norm())] == [
+            fields(x) for x in (want.re, want.im, object_norm(z))
+        ], (z, w)
+        if w.is_exact_zero:
+            return
+        n = object_norm(w)
+        if n.is_zero:
+            with pytest.raises(PrecisionExhausted):
+                z / w
+            return
+        got, c = z / w, object_mul(z, w.conj())
+        assert [fields(got.re), fields(got.im)] == [fields(c.re / n), fields(c.im / n)], (z, w)
+
+    @pytest.mark.parametrize("p", [3, 7, 11, 10007])
+    @pytest.mark.parametrize("prec", [1, 2, 3, 5, 8, 32, 256])
+    def test_random_pairs_with_every_zero_kind(self, p, prec):
+        ctx = PrimeContext(p, prec)
+        rng = random.Random(f"raw:{p}:{prec}")
+
+        def part():
+            kind = rng.randrange(10)
+            if kind == 0:
+                return PadicNumber.exact_zero(ctx, rng.randint(0, prec + 3))
+            if kind == 1:
+                return PadicNumber.zero_mod(ctx, rng.randint(0, prec + 3))
+            v, r = rng.randint(0, 3), rng.randint(1, prec)
+            unit = rng.randrange(ctx.pow(r - 1)) * p + rng.randint(1, p - 1)
+            return PadicNumber.make(ctx, v, unit, v + r)
+
+        def factor():
+            shape = rng.randrange(6)
+            if shape == 0:
+                return QpiElement(part())  # scalar-embedded
+            if shape == 1:
+                return QpiElement(PadicNumber.exact_zero(ctx), part())  # pure imaginary
+            return QpiElement(part(), part())
+
+        for _ in range(120):
+            z, w = factor(), factor()
+            self.check(z, w)
+            self.check(z, z.conj())  # the imaginary part cancels
+
+    @pytest.mark.parametrize("p", [3, 7])
+    @pytest.mark.parametrize("prec", [1, 2, 4, 9])
+    def test_gaps_around_the_drop(self, p, prec):
+        # a part whose valuation gap reaches the wider result part's r is
+        # dropped; one digit earlier it still moves the last digit
+        ctx = PrimeContext(p, prec)
+        rng = random.Random(f"gap:{p}:{prec}")
+
+        def scalar(v, r):
+            unit = rng.randrange(ctx.pow(r - 1)) * p + rng.randint(1, p - 1)
+            return PadicNumber.make(ctx, v, unit, v + r)
+
+        for gap in range(1, 2 * prec + 3):
+            for r in {1, prec}:
+                z = QpiElement(scalar(0, prec), scalar(gap, r))
+                w = QpiElement(scalar(0, prec), scalar(rng.randint(0, 1), prec))
+                for x, y in ((z, w), (w, z), (z.conj(), w), (w, z.conj())):
+                    self.check(x, y)
+
+    def test_far_gap_builds_no_far_power(self, monkeypatch):
+        prec = 8
+        ctx = PrimeContext(7, prec)
+        one = from_int(1, ctx)
+        far = PadicNumber.make(ctx, 16000, 1, 16000 + prec)  # 7^16000
+        z = QpiElement(one, far)
+        w = QpiElement(from_rational(2, 3, ctx), from_rational(-5, 7, ctx))
+        seen = []
+        real_pow = PrimeContext.pow
+
+        def recording_pow(self, k):
+            seen.append(k)
+            return real_pow(self, k)
+
+        monkeypatch.setattr(PrimeContext, "pow", recording_pow)
+        for x, y in ((z, z), (z, z.conj()), (z, w), (w, z), (QpiElement(far, one), w)):
+            self.check(x, y)
+        assert max(seen) <= 2 * prec + 1
+        assert len(ctx._powers) <= 2 * prec + 2
