@@ -87,6 +87,9 @@ MUTANTS = {
     "right-solve-sign": (
         "loop.py", "(one - k1)", "(one + k1)", ("tests/test_loop.py",),
     ),
+    "checks-draw-accepts-n": (
+        "checks.py", "while r >= n", "while r > n", ("tests/test_checks.py",),
+    ),
 }
 
 

@@ -21,6 +21,7 @@ from padicloop.analytic import (
     sin_cos_tan,
     tan,
 )
+from padicloop.checks import _rand_padic
 from padicloop.errors import DomainError
 from padicloop.matrix import Mat2
 from padicloop.oracles import (
@@ -40,10 +41,7 @@ C11 = PrimeContext(11, 20)
 
 def sample_disk(rng, ctx, vmin=1, vmax=3):
     """Random element with valuation in [vmin, vmax] (so inside every disk)."""
-    v = rng.randint(vmin, vmax)
-    digits = [rng.randint(1, ctx.p - 1)]
-    digits += [rng.randint(0, ctx.p - 1) for _ in range(ctx.precision - 1)]
-    return PadicNumber.from_digits(ctx, v, digits, m=v + ctx.precision)
+    return _rand_padic(rng, ctx, vmin, vmax)
 
 
 def sample_disk_qpi(rng, ctx, vmin=1, vmax=3):

@@ -1,6 +1,7 @@
 """Suite-runner contracts: determinism, record shape, honest skip semantics."""
 
 import json
+import random
 import sys
 from collections import Counter
 from pathlib import Path
@@ -21,6 +22,7 @@ from padicloop.checks import (
 )
 from padicloop.clifford import ProjectiveRotation
 from padicloop.context import PrimeContext
+from padicloop.loop import DiskPoint, loop_add
 from padicloop.oracles import GaussianRational
 from padicloop.padic import INFINITE, PadicNumber, from_int
 from padicloop.qpi import QpiElement
@@ -135,6 +137,46 @@ def test_non_associativity_search_counts_and_caps_like_a_tally(monkeypatch, p):
     assert rec["failures"][-1] == "no witness found in the 27-triple search space"
 
 
+def nonassociative_triples(ctx):
+    """How many of the search's 27 triples associate differently, by the
+    plain two-sums-per-side formula."""
+    p = ctx.p
+    points = [
+        DiskPoint(QpiElement.from_rationals(a, 1, b, 1, ctx))
+        for a, b in ((p, 0), (0, p), (p, p))
+    ]
+    return sum(
+        not loop_add(loop_add(a, b), c).value.eq_to(loop_add(a, loop_add(b, c)).value)
+        for a in points for b in points for c in points
+    )
+
+
+@pytest.mark.parametrize("p", [3, 7, 11])
+def test_non_associativity_search_sums_each_pair_once(monkeypatch, p):
+    ctx = PrimeContext(p, 16)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(a, b):
+            calls[name] += 1
+            return fn(a, b)
+        return wrapper
+
+    monkeypatch.setattr(checks, "loop_add", counted("loop", checks.loop_add))
+    monkeypatch.setattr(checks, "gaussian_loop_add", counted("oracle", checks.gaussian_loop_add))
+    rec = checks._non_associativity_record(ctx)
+    assert rec == {
+        "suite": "axioms",
+        "property": "non-associativity-witness",
+        "samples": 27,
+        "failures": [],
+        "witness": "(p, pi, p)",
+    }
+    # nine pair sums, then one more loop_add per association order
+    assert calls["loop"] == 9 + 2 * 27
+    assert calls["oracle"] <= 9 + 2 * nonassociative_triples(ctx)
+
+
 class TestTallyPairs:
     def test_any_unequal_pair_is_a_failure(self):
         prop = _Prop("t", "x")
@@ -154,6 +196,40 @@ class TestTallyPairs:
         one = QpiElement.one(C7)
         rotation = ProjectiveRotation(one, QpiElement(PadicNumber.exact_zero(C7)))
         assert _tracked(rotation) == _tracked(rotation.alpha)
+
+
+# ---- the digit draw keeps randint's stream ----
+
+
+def reference_rand_padic(rng, ctx, vmin, vmax):
+    """The draw written out with randint and from_digits: the stream and the
+    values every sampled property and golden file were built on."""
+    v = rng.randint(vmin, vmax)
+    digits = [rng.randint(1, ctx.p - 1)]
+    digits += [rng.randint(0, ctx.p - 1) for _ in range(ctx.precision - 1)]
+    return PadicNumber.from_digits(ctx, v, digits, m=v + ctx.precision)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10007, 2**31 + 1])
+def test_below_draws_what_randint_draws(n):
+    fast, slow = random.Random(n), random.Random(n)
+    got = [checks._below(fast, n) for _ in range(200)]
+    assert got == [slow.randint(0, n - 1) for _ in range(200)]
+    assert fast.getstate() == slow.getstate()
+
+
+@pytest.mark.parametrize("p", [3, 7, 11, 10007])
+@pytest.mark.parametrize("prec", [1, 8, 32])
+def test_rand_padic_draws_the_randint_stream(p, prec):
+    ctx = PrimeContext(p, prec)
+    fast, slow = random.Random(f"{p}:{prec}"), random.Random(f"{p}:{prec}")
+    for vmin, vmax in ((1, 3), (-3, 3), (0, 2), (2, 2)):
+        for _ in range(20):
+            got = checks._rand_padic(fast, ctx, vmin, vmax)
+            want = reference_rand_padic(slow, ctx, vmin, vmax)
+            fields = ("v", "unit", "r", "m", "kind")
+            assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+    assert fast.getstate() == slow.getstate()
 
 
 # ---- pins of the sampled streams ----

@@ -6,6 +6,7 @@ import pytest
 
 from padicloop import PadicNumber, PrimeContext, from_int, from_rational
 from padicloop.analytic import exp, tan
+from padicloop.checks import _rand_padic
 from padicloop.clifford import (
     CupPoint,
     ProjectiveRotation,
@@ -41,10 +42,7 @@ C11 = PrimeContext(11, 20)
 
 
 def rand_padic(rng, ctx, vmin=0, vmax=2):
-    v = rng.randint(vmin, vmax)
-    digits = [rng.randint(1, ctx.p - 1)]
-    digits += [rng.randint(0, ctx.p - 1) for _ in range(ctx.precision - 1)]
-    return PadicNumber.from_digits(ctx, v, digits, m=v + ctx.precision)
+    return _rand_padic(rng, ctx, vmin, vmax)
 
 
 def rand_vector(rng, ctx, vmin=0, vmax=2):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from padicloop import PadicNumber, PrimeContext, from_int, from_rational
 from padicloop.analytic import exp, tan
+from padicloop.checks import _rand_padic
 from padicloop.clifford import (
     ProjectiveRotation,
     lift,
@@ -46,10 +47,7 @@ C3 = PrimeContext(3, 24)
 
 
 def rand_padic(rng, ctx, vmin=1, vmax=3):
-    v = rng.randint(vmin, vmax)
-    digits = [rng.randint(1, ctx.p - 1)]
-    digits += [rng.randint(0, ctx.p - 1) for _ in range(ctx.precision - 1)]
-    return PadicNumber.from_digits(ctx, v, digits, m=v + ctx.precision)
+    return _rand_padic(rng, ctx, vmin, vmax)
 
 
 def rand_disk(rng, ctx, vmin=1, vmax=3):

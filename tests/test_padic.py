@@ -22,6 +22,7 @@ from padicloop import (
     parse_padic,
     sqrt,
 )
+from padicloop.checks import _rand_padic
 from padicloop.context import MAX_PRIME, is_prime
 from padicloop.errors import PadicError
 from padicloop.oracles import rational_to_padic_digits, rational_valuation, sqrt_digits
@@ -38,10 +39,7 @@ def sample_rational(rng, bound=10**6):
 
 
 def sample_padic(rng, ctx, vmin=-3, vmax=3):
-    v = rng.randint(vmin, vmax)
-    digits = [rng.randint(1, ctx.p - 1)]
-    digits += [rng.randint(0, ctx.p - 1) for _ in range(ctx.precision - 1)]
-    return PadicNumber.from_digits(ctx, v, digits, m=v + ctx.precision)
+    return _rand_padic(rng, ctx, vmin, vmax)
 
 
 class TestContext:

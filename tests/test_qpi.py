@@ -18,6 +18,7 @@ from padicloop import (
     from_int,
     from_rational,
 )
+from padicloop.checks import _rand_padic
 from padicloop.errors import PrecisionExhausted
 from padicloop.matrix import Mat2
 from padicloop.oracles import GaussianRational, rational_to_padic_digits, rational_valuation
@@ -32,13 +33,7 @@ def fields(x):
 
 
 def sample_qpi(rng, ctx, vmin=-2, vmax=2):
-    def comp():
-        v = rng.randint(vmin, vmax)
-        digits = [rng.randint(1, ctx.p - 1)]
-        digits += [rng.randint(0, ctx.p - 1) for _ in range(ctx.precision - 1)]
-        return PadicNumber.from_digits(ctx, v, digits, m=v + ctx.precision)
-
-    return QpiElement(comp(), comp())
+    return QpiElement(_rand_padic(rng, ctx, vmin, vmax), _rand_padic(rng, ctx, vmin, vmax))
 
 
 def sample_gaussian(rng, bound=500):
