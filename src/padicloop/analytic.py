@@ -44,7 +44,6 @@ integer's unit out exactly with one inverse modulo that word-sized unit and
 none modulo p^N.
 """
 
-from enum import Enum
 from itertools import accumulate
 from math import factorial, isqrt, lcm, prod
 from operator import mul
@@ -55,20 +54,13 @@ from .padic import INFINITE, PadicNumber, from_rational
 from .qpi import QpiElement, gaussian_product
 
 
-class ConvergenceDomain(Enum):
-    EXP_DISK = "EXP_DISK"            # {x : |x|_p <= p^-1}, i.e. v(x) >= 1
-    LOG_DISK = "LOG_DISK"            # {x : |x|_p < 1}, i.e. v(x) >= 1
-    BINOMIAL_DISK = "BINOMIAL_DISK"  # {x : |x|_p < 1}, i.e. v(x) >= 1
-
-    def contains(self, x):
-        # all three disks coincide on the integer value group of Q_p(i)
-        return x.valuation_lower_bound >= 1
-
-
-def _require(domain, x, fn):
-    if not domain.contains(x):
+def _require(x, fn, disk):
+    """x must lie on `disk`: EXP_DISK {|x|_p <= p^-1}, LOG_DISK or
+    BINOMIAL_DISK {|x|_p < 1}, which all coincide with v(x) >= 1 on the
+    integer value group of Q_p(i)."""
+    if x.valuation_lower_bound < 1:
         raise DomainError(
-            f"{fn}: argument has |x|_p >= 1, outside {domain.name} "
+            f"{fn}: argument has |x|_p >= 1, outside {disk} "
             f"(need valuation >= 1)"
         )
 
@@ -390,14 +382,14 @@ def _factorial_series(x, s, e, sign):
 
 def exp(x):
     """exp on the disk |x|_p <= p^-1 (where the factorial growth is beaten)."""
-    _require(ConvergenceDomain.EXP_DISK, x, "exp")
+    _require(x, "exp", "EXP_DISK")
     return _factorial_series(x, 1, 0, 1)
 
 
 def log(y):
     """log on 1 + LOG_DISK: y = 1 + x with |x|_p < 1."""
     x = y - _one_like(y)
-    _require(ConvergenceDomain.LOG_DISK, x, "log")
+    _require(x, "log", "LOG_DISK")
     p = x.ctx.p
     # y - 1 is never an exact zero, so lb is finite
     lb = x.valuation_lower_bound
@@ -430,12 +422,12 @@ def sin_cos_tan(x):
 
 
 def sin(x):
-    _require(ConvergenceDomain.EXP_DISK, x, "sin_cos_tan")
+    _require(x, "sin_cos_tan", "EXP_DISK")
     return _factorial_series(x, 2, 1, -1)
 
 
 def cos(x):
-    _require(ConvergenceDomain.EXP_DISK, x, "sin_cos_tan")
+    _require(x, "sin_cos_tan", "EXP_DISK")
     return _factorial_series(x, 2, 0, -1)
 
 
@@ -460,7 +452,7 @@ def arctan(x):
     p = 3 (mod 4)."""
     was_real = not isinstance(x, QpiElement)
     x = _as_qpi(x)
-    _require(ConvergenceDomain.EXP_DISK, x, "arctan")
+    _require(x, "arctan", "EXP_DISK")
     ctx = x.ctx
     i = QpiElement.i_unit(ctx)
     ix = i * x
@@ -474,7 +466,7 @@ def arcsin(x):
     supplied by the binomial series."""
     was_real = not isinstance(x, QpiElement)
     x = _as_qpi(x)
-    _require(ConvergenceDomain.BINOMIAL_DISK, x, "arcsin")
+    _require(x, "arcsin", "BINOMIAL_DISK")
     ctx = x.ctx
     i = QpiElement.i_unit(ctx)
     half = from_rational(1, 2, ctx)
@@ -497,7 +489,7 @@ def binomial_series(alpha, x):
         raise DomainError(
             f"binomial_series: alpha has valuation {alpha.valuation}, not in Z_p"
         )
-    _require(ConvergenceDomain.BINOMIAL_DISK, x, "binomial_series")
+    _require(x, "binomial_series", "BINOMIAL_DISK")
     ctx = x.ctx
     p = ctx.p
     one = _one_like(x)
@@ -518,10 +510,8 @@ def binomial_series(alpha, x):
         if tail(n) >= total.known_precision:
             return total.truncate(tail(n))
         if ab:
-            # the factorial dip at step 1 (s_p(n) // (p - 1) - 1, by
-            # Legendre's formula), since each factor alpha - (k - 1) of a
-            # later term has valuation >= 0
-            dip = n // (p - 1) - _vp_factorial(n, p) - 1
+            # the factorial dip holds: each later factor alpha - (k - 1) has v >= 0
+            dip = _digit_sum(n, p) // (p - 1) - 1
             plan = _plan(total, term, x, n, 1, tail, dip, alpha.m)
             if plan:
                 return _binomial_value(x, *ab, *plan)
@@ -530,8 +520,5 @@ def binomial_series(alpha, x):
 
 def matrix_exp(X):
     """Entrywise-EXP_DISK matrix exponential by direct series."""
-    if X.valuation_lower_bound < 1:
-        raise DomainError(
-            "matrix_exp: every entry must have valuation >= 1 (entrywise EXP_DISK)"
-        )
+    _require(X, "matrix_exp", "EXP_DISK")
     return _factorial_series(X, 1, 0, 1)

@@ -551,10 +551,7 @@ def run_oracle(p, prec, seed, samples):
         s = sqrt(a)
         ok = (s * s).eq_to(a)
         if ok and not s.is_zero:
-            want = sqrt_digits(a.unit % ctx.pow(s.r), p, s.r)
-            while want and want[-1] == 0:  # digits() trims trailing zeros
-                want.pop()
-            ok = want is not None and s.digits() == want
+            ok = s.unit_digits() == sqrt_digits(a.unit % ctx.pow(s.r), p, s.r)
         return ok, lambda: f"q=({num}/{den})^2"
 
     def parse_format(rng):

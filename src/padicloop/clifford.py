@@ -118,31 +118,13 @@ class SpherePoint:
         return self.vec.serialize()
 
     def __repr__(self):
-        return f"{type(self).__name__}{self.serialize()}"
-
-
-def _require_cup(vec):
-    """The cup bound ||vec - sigma_z|| <= 1/p (sup-norm on coordinates)."""
-    dc = vec.c - from_int(1, vec.ctx)
-    for comp in (vec.a, vec.b, dc):
-        if comp.valuation_lower_bound < 1:
-            raise OutsideDisk("point is farther than 1/p from the pole")
-
-
-class CupPoint(SpherePoint):
-    """Sphere point with ||P - sigma_z|| <= 1/p (sup-norm on coordinates)."""
-
-    __slots__ = ()
-
-    def __init__(self, vec):
-        super().__init__(vec)
-        _require_cup(vec)
+        return f"SpherePoint{self.serialize()}"
 
 
 def sigma_z(ctx):
     one = from_int(1, ctx)
     z = PadicNumber.exact_zero(ctx)
-    return CupPoint(Vector3(z, z, one))
+    return SpherePoint(Vector3(z, z, one))
 
 
 class ProjectiveRotation:
@@ -256,11 +238,13 @@ def mobius_action(R, xi):
 
 def stereo(P, pole="cup"):
     """Stereographic charts: 'cup'/'north' = (a+ib)/(1+c), 'south' =
-    (a+ib)/(1-c); the cup chart additionally insists on the cup invariant."""
+    (a+ib)/(1-c); the cup chart additionally insists on the cup bound
+    ||P - sigma_z|| <= 1/p (sup-norm on coordinates)."""
     vec = P.vec
     one = from_int(1, vec.ctx)
     if pole == "cup":
-        _require_cup(vec)
+        if min(x.valuation_lower_bound for x in (vec.a, vec.b, vec.c - one)) < 1:
+            raise OutsideDisk("point is farther than 1/p from the pole")
         den = one + vec.c
     elif pole == "north":
         den = one + vec.c
@@ -283,7 +267,7 @@ def lift(xi):
     den = one + n
     c = (one - n) / den
     z = (xi + xi) / den
-    return CupPoint(Vector3(z.re, z.im, c))
+    return SpherePoint(Vector3(z.re, z.im, c))
 
 
 def polar_point(theta, phi):
@@ -297,7 +281,7 @@ def polar_point(theta, phi):
     s, c = sin(two_theta), cos(two_theta)
     eiphi = exp(QpiElement(PadicNumber.exact_zero(ctx), phi))
     z = eiphi * s
-    return CupPoint(Vector3(z.re, z.im, c))
+    return SpherePoint(Vector3(z.re, z.im, c))
 
 
 def exp_vertical(a):

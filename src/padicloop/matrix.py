@@ -78,8 +78,8 @@ class Mat2:
     def known_precision(self):
         return min(a.known_precision for a in self.entries())
 
-    def truncate(self, m_cap):
-        return Mat2(*(a.truncate(m_cap) for a in self.entries()))
+    def truncate(self, m):
+        return Mat2(*(a.truncate(m) for a in self.entries()))
 
     def eq_to(self, other):
         return all(a.eq_to(b) for a, b in zip(self.entries(), other.entries()))

@@ -153,21 +153,19 @@ class PadicNumber:
             out.pop()
         return out
 
-    def truncate(self, m_cap):
-        """Forget everything beyond p^m_cap."""
-        if m_cap >= self.m:
+    def truncate(self, m):
+        """Forget everything beyond p^m."""
+        if m >= self.m:
             return self
         if self.kind == _NONZERO:
-            return PadicNumber.make(self.ctx, self.v, self.unit, m_cap)
-        return self._zero(m_cap)
+            return PadicNumber.make(self.ctx, self.v, self.unit, m)
+        return self._zero(m)
 
-    def eq_to(self, other, m_cap=None):
-        """Equality of digit strings modulo p^min(m, other.m, m_cap)."""
+    def eq_to(self, other):
+        """Equality of digit strings modulo p^min(m, other.m)."""
         a, b = self, other
         m = min(a.m if not a.is_exact_zero else b.m,
                 b.m if not b.is_exact_zero else a.m)
-        if m_cap is not None:
-            m = min(m, m_cap)
         a = a.truncate(m)
         b = b.truncate(m)
         if a.kind != _NONZERO or b.kind != _NONZERO:
@@ -456,10 +454,7 @@ def format_padic(a):
     if a.kind != _NONZERO:
         return f"O({p}^{a.m})"
     terms = []
-    u = a.unit
-    k = a.v
-    while u:
-        u, d = divmod(u, p)
+    for k, d in enumerate(a.digits(), a.v):
         if d:
             if k == 0:
                 terms.append(f"{d}")
@@ -467,7 +462,6 @@ def format_padic(a):
                 terms.append(f"{d}*{p}")
             else:
                 terms.append(f"{d}*{p}^{k}")
-        k += 1
     terms.append(f"O({p}^{a.m})")
     return " + ".join(terms)
 

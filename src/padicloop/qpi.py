@@ -98,11 +98,11 @@ class QpiElement:
         ms = [c.m for c in (self.re, self.im) if not c.is_exact_zero]
         return min(ms) if ms else INFINITE
 
-    def truncate(self, m_cap):
-        return QpiElement(self.re.truncate(m_cap), self.im.truncate(m_cap))
+    def truncate(self, m):
+        return QpiElement(self.re.truncate(m), self.im.truncate(m))
 
-    def eq_to(self, other, m_cap=None):
-        return self.re.eq_to(other.re, m_cap) and self.im.eq_to(other.im, m_cap)
+    def eq_to(self, other):
+        return self.re.eq_to(other.re) and self.im.eq_to(other.im)
 
     # ---- arithmetic ----
 

@@ -44,9 +44,15 @@ MUTANTS = {
     ),
     "binomial-dip-minus-1": (
         "analytic.py",
-        "dip = n // (p - 1) - _vp_factorial(n, p) - 1\n",
-        "dip = n // (p - 1) - _vp_factorial(n, p) - 2\n",
+        "dip = _digit_sum(n, p) // (p - 1) - 1\n",
+        "dip = _digit_sum(n, p) // (p - 1) - 2\n",
         SERIES,
+    ),
+    "disk-check-accepts-units": (
+        "analytic.py",
+        "if x.valuation_lower_bound < 1:",
+        "if x.valuation_lower_bound < 0:",
+        ("tests/test_analytic.py",),
     ),
     "plan-final-m-plus-1": (
         "analytic.py", "min(mc, t) for mc in frozen", "t + 1 for mc in frozen", SERIES,
@@ -80,6 +86,12 @@ MUTANTS = {
         "if abs(g) >= hi:",
         "if abs(g) >= hi - 1:",
         ("tests/test_qpi.py", "tests/test_precision_honesty.py"),
+    ),
+    "cup-check-accepts-units": (
+        "clifford.py",
+        "(vec.a, vec.b, vec.c - one)) < 1:",
+        "(vec.a, vec.b, vec.c - one)) < 0:",
+        ("tests/test_clifford.py",),
     ),
     "rotation-act-sign": (
         "clifford.py", "r12 * -rep.m21", "r12 * rep.m21", ("tests/test_clifford.py",),

@@ -16,7 +16,6 @@ multiplied together for each term.
 
 from padicloop.analytic import (
     _MAX_TERMS,
-    ConvergenceDomain,
     _as_qpi,
     _ilog,
     _one_like,
@@ -51,7 +50,7 @@ def _exp_series(x):
 
 def exp(x):
     """exp on the disk |x|_p <= p^-1 (where the factorial growth is beaten)."""
-    _require(ConvergenceDomain.EXP_DISK, x, "exp")
+    _require(x, "exp", "EXP_DISK")
     if x.valuation_lower_bound == INFINITE:
         return _one_like(x)
     return _exp_series(x)
@@ -60,7 +59,7 @@ def exp(x):
 def log(y):
     """log on 1 + LOG_DISK: y = 1 + x with |x|_p < 1."""
     x = y - _one_like(y)
-    _require(ConvergenceDomain.LOG_DISK, x, "log")
+    _require(x, "log", "LOG_DISK")
     ctx = x.ctx
     p = ctx.p
     lb = x.valuation_lower_bound
@@ -84,7 +83,7 @@ def log(y):
 def _alternating(x, power):
     """sin (power 1) or cos (power 0): the sum of (-1)^k x^(2k+power) /
     (2k+power)!, with the factorial tail bound."""
-    _require(ConvergenceDomain.EXP_DISK, x, "sin_cos_tan")
+    _require(x, "sin_cos_tan", "EXP_DISK")
     p = x.ctx.p
     lb = x.valuation_lower_bound
     total = term = x if power else _one_like(x)
@@ -120,7 +119,7 @@ def tan(x):
 def arctan(x):
     was_real = not isinstance(x, QpiElement)
     x = _as_qpi(x)
-    _require(ConvergenceDomain.EXP_DISK, x, "arctan")
+    _require(x, "arctan", "EXP_DISK")
     ctx = x.ctx
     i = QpiElement.i_unit(ctx)
     ix = i * x
@@ -133,7 +132,7 @@ def arctan(x):
 def arcsin(x):
     was_real = not isinstance(x, QpiElement)
     x = _as_qpi(x)
-    _require(ConvergenceDomain.BINOMIAL_DISK, x, "arcsin")
+    _require(x, "arcsin", "BINOMIAL_DISK")
     ctx = x.ctx
     i = QpiElement.i_unit(ctx)
     half = from_rational(1, 2, ctx)
@@ -152,7 +151,7 @@ def binomial_series(alpha, x):
         raise DomainError(
             f"binomial_series: alpha has valuation {alpha.valuation}, not in Z_p"
         )
-    _require(ConvergenceDomain.BINOMIAL_DISK, x, "binomial_series")
+    _require(x, "binomial_series", "BINOMIAL_DISK")
     ctx = x.ctx
     one = _one_like(x)
     lb = x.valuation_lower_bound
@@ -180,7 +179,7 @@ def binomial_two_carrier(alpha, x):
         raise DomainError(
             f"binomial_series: alpha has valuation {alpha.valuation}, not in Z_p"
         )
-    _require(ConvergenceDomain.BINOMIAL_DISK, x, "binomial_series")
+    _require(x, "binomial_series", "BINOMIAL_DISK")
     ctx = x.ctx
     one = _one_like(x)
     lb = x.valuation_lower_bound

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from padicloop import INFINITE, PadicNumber, PrimeContext, from_int, from_rational
 from padicloop.analytic import (
-    ConvergenceDomain,
+    _require,
     arcsin,
     arctan,
     binomial_series,
@@ -55,11 +55,12 @@ def frac_to_padic(q, ctx):
 
 class TestDomains:
     def test_membership_is_valuation_at_least_one(self):
-        for dom in ConvergenceDomain:
-            assert dom.contains(from_int(7, C7))
-            assert not dom.contains(from_int(1, C7))
-            assert not dom.contains(from_rational(1, 7, C7))
-            assert dom.contains(PadicNumber.exact_zero(C7))
+        for disk in ("EXP_DISK", "LOG_DISK", "BINOMIAL_DISK"):
+            _require(from_int(7, C7), "f", disk)
+            _require(PadicNumber.exact_zero(C7), "f", disk)
+            for x in (from_int(1, C7), from_rational(1, 7, C7)):
+                with pytest.raises(DomainError, match=f"outside {disk}"):
+                    _require(x, "f", disk)
 
     def test_exp_rejects_unit(self):
         with pytest.raises(DomainError):

@@ -8,7 +8,6 @@ from padicloop import PadicNumber, PrimeContext, from_int, from_rational
 from padicloop.analytic import exp, tan
 from padicloop.checks import _rand_padic
 from padicloop.clifford import (
-    CupPoint,
     ProjectiveRotation,
     SpherePoint,
     Vector3,
@@ -237,7 +236,7 @@ class TestReflect:
 class TestSpherePoints:
     def test_sigma_z_is_cup_point(self):
         P = sigma_z(C7)
-        assert isinstance(P, CupPoint)
+        assert stereo(P, "cup").is_zero
         assert (P.matrix * P.matrix).eq_to(Mat2.identity(C7))
 
     def test_rejects_off_sphere_coordinates(self):
@@ -250,13 +249,15 @@ class TestSpherePoints:
         one = from_int(1, C7)
         # (1, 0, 0) is on the sphere but at distance 1 from the pole
         with pytest.raises(OutsideDisk):
-            CupPoint(Vector3(one, z, z))
+            stereo(SpherePoint(Vector3(one, z, z)), "cup")
 
     def test_lifted_points_square_to_identity(self):
         rng = random.Random(2020)
         for _ in range(10):
-            P = lift(rand_disk_qpi(rng, C7))
+            xi = rand_disk_qpi(rng, C7)
+            P = lift(xi)
             assert (P.matrix * P.matrix).eq_to(Mat2.identity(C7))
+            assert stereo(P, "cup").eq_to(xi)
 
 
 class TestRotations:
@@ -504,8 +505,7 @@ class TestExpSplit:
         for _ in range(8):
             beta = rand_disk_qpi(rng, C7)
             Q = rotation_act(exp_horizontal(beta), sigma_z(C7))
-            cup = CupPoint(Q.vec)
-            assert isinstance(cup, CupPoint)
+            assert stereo(Q, "cup").valuation_lower_bound >= 1
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

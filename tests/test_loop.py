@@ -558,7 +558,7 @@ class TestSphereLoopAdd:
 
     def test_two_path_rational_oracle(self):
         # lift the Gaussian-rational sum exactly over Fractions and compare
-        # coordinatewise with the package path through CupPoints
+        # coordinatewise with the package path through the cup chart
         rng = random.Random(103)
 
         def frac_lift(g):

@@ -393,3 +393,41 @@ class TestLiterals:
         for _ in range(1100):
             a = sample_padic(rng, C7)
             assert parse_padic(format_padic(a), C7) == a
+
+
+def _format_schoolbook(a):
+    """format_padic by one divmod per digit on the unit: the reference any
+    faster digit conversion must reproduce."""
+    p = a.ctx.p
+    if a.is_zero:
+        return f"O({p}^{a.m})"
+    terms = []
+    u, k = a.unit, a.v
+    while u:
+        u, d = divmod(u, p)
+        if d:
+            terms.append(f"{d}" if k == 0 else f"{d}*{p}" if k == 1 else f"{d}*{p}^{k}")
+        k += 1
+    terms.append(f"O({p}^{a.m})")
+    return " + ".join(terms)
+
+
+class TestFormatDigits:
+    @pytest.mark.parametrize("p", [3, 7, 10007, 3317044064679887385961783])
+    def test_matches_schoolbook_loop(self, p):
+        ctx = PrimeContext(p, 200)
+        rng = random.Random(p)
+        values = [PadicNumber.exact_zero(ctx, m) for m in (-5, 0, 7)]
+        values += [PadicNumber.zero_mod(ctx, m) for m in (-5, 0, 7)]
+        for r in range(1, 201):
+            v = rng.randint(-5, 5)
+            # a full unit, then one with runs of zero digits at both ends
+            for lo, hi in ((0, 0), (rng.randint(1, r), rng.randint(1, r))):
+                digits = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(r - 1)]
+                digits[:lo] = [0] * lo
+                digits[r - hi:] = [0] * hi
+                u = sum(d * p**k for k, d in enumerate(digits))
+                values.append(PadicNumber.make(ctx, v, u, v + r))
+        assert any(a.r > 1 and a.unit_digits()[-1] == 0 for a in values)
+        for a in values:
+            assert format_padic(a) == _format_schoolbook(a)
