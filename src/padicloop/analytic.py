@@ -1,5 +1,4 @@
-"""Convergence-checked p-adic analytic functions on Q_p and Q_p(i), plus the
-2x2 matrix exponential.
+"""Convergence-checked p-adic analytic functions on Q_p and Q_p(i).
 
 Truncation rule (documented here once, used everywhere): for a series whose
 n-th term is x^n divided by something factorial-like, the tail after term n is
@@ -37,11 +36,9 @@ recurrence, so every digit and every O-term is the recurrence's own.
 
 binomial_series reaches the engine only when alpha is a small rational a/b
 modulo its precision, which rational reconstruction recovers from alpha's
-digits; any other alpha keeps the term recurrence.  matrix_exp (exp's series
-on 2x2 matrices, with no plan) is the only series that never leaves it.  There
-each term is divided by a small integer with div_int, which divides the
-integer's unit out exactly with one inverse modulo that word-sized unit and
-none modulo p^N.
+digits; any other alpha keeps the term recurrence.  There each term is divided
+by a small integer with div_int, which divides the integer's unit out exactly
+with one inverse modulo that word-sized unit and none modulo p^N.
 """
 
 from itertools import accumulate
@@ -49,7 +46,6 @@ from math import factorial, isqrt, lcm, prod
 from operator import mul
 
 from .errors import DomainError, PadicError
-from .matrix import Mat2
 from .padic import INFINITE, PadicNumber, from_rational
 from .qpi import QpiElement, gaussian_product
 
@@ -68,8 +64,6 @@ def _require(x, fn, disk):
 def _one_like(x):
     if isinstance(x, QpiElement):
         return QpiElement.one(x.ctx)
-    if isinstance(x, Mat2):
-        return Mat2.identity(x.ctx)
     return from_rational(1, 1, x.ctx)
 
 
@@ -352,8 +346,8 @@ def _small_rational(alpha):
 
 def _factorial_series(x, s, e, sign):
     """Sum (sign x^s)^k x^e / (s k + e)! with the factorial tail bound: exp
-    is (s, e, sign) = (1, 0, +1), sin (2, 1, -1) and cos (2, 0, -1).  Works
-    for scalars, Q_p(i) elements and matrices alike; matrices never plan."""
+    is (s, e, sign) = (1, 0, +1), sin (2, 1, -1) and cos (2, 0, -1), on
+    scalars and Q_p(i) elements alike."""
     p = x.ctx.p
     lb = x.valuation_lower_bound
     total = term = x if e else _one_like(x)
@@ -373,10 +367,9 @@ def _factorial_series(x, s, e, sign):
             # digits at or beyond the tail bound would still move if more
             # terms were added; cap every component there
             return total.truncate(tail(n))
-        if not isinstance(x, Mat2):
-            plan = _plan(total, term, z, n, s, tail, _digit_sum(n, p) // (p - 1) - 1)
-            if plan:
-                return _factorial_value(x, s, e, sign, *plan)
+        plan = _plan(total, term, z, n, s, tail, _digit_sum(n, p) // (p - 1) - 1)
+        if plan:
+            return _factorial_value(x, s, e, sign, *plan)
     raise PadicError("factorial series failed to terminate")
 
 
@@ -453,11 +446,10 @@ def arctan(x):
     was_real = not isinstance(x, QpiElement)
     x = _as_qpi(x)
     _require(x, "arctan", "EXP_DISK")
-    ctx = x.ctx
-    i = QpiElement.i_unit(ctx)
+    i = QpiElement.i_unit(x.ctx)
     ix = i * x
     q = (1 + ix) / (1 - ix)
-    result = log(q) * (-i) / from_rational(2, 1, ctx)
+    result = (log(q) * (-i)).div_int(2)
     return _real_in_real_out(result, was_real)
 
 
@@ -516,9 +508,3 @@ def binomial_series(alpha, x):
             if plan:
                 return _binomial_value(x, *ab, *plan)
     raise PadicError("binomial series failed to terminate")
-
-
-def matrix_exp(X):
-    """Entrywise-EXP_DISK matrix exponential by direct series."""
-    _require(X, "matrix_exp", "EXP_DISK")
-    return _factorial_series(X, 1, 0, 1)

@@ -24,11 +24,6 @@ class Mat2:
         return Mat2(one, zero, zero, one)
 
     @staticmethod
-    def zero(ctx):
-        z = QpiElement.zero(ctx)
-        return Mat2(z, z, z, z)
-
-    @staticmethod
     def diag(a, d):
         zero = QpiElement.zero(a.ctx)
         return Mat2(a, zero, zero, d)
@@ -53,12 +48,6 @@ class Mat2:
     def scale_div(self, s):
         return Mat2(*(a / s for a in self.entries()))
 
-    def div_int(self, n):
-        return Mat2(*(a.div_int(n) for a in self.entries()))
-
-    def trace(self):
-        return self.m11 + self.m22
-
     def det(self):
         return self.m11 * self.m22 - self.m12 * self.m21
 
@@ -69,17 +58,6 @@ class Mat2:
         # the division raises for a determinant that is zero, exactly or to
         # its known precision
         return self.adjugate().scale_div(self.det())
-
-    @property
-    def valuation_lower_bound(self):
-        return min(a.valuation_lower_bound for a in self.entries())
-
-    @property
-    def known_precision(self):
-        return min(a.known_precision for a in self.entries())
-
-    def truncate(self, m):
-        return Mat2(*(a.truncate(m) for a in self.entries()))
 
     def eq_to(self, other):
         return all(a.eq_to(b) for a, b in zip(self.entries(), other.entries()))

@@ -215,7 +215,7 @@ def series_partial_sum(series_id, x, terms, alpha=None):
     return GaussianRational(Fraction(ar, den), Fraction(ai, den))
 
 
-# ---- 2x2 Gaussian-rational matrices (for the matrix exponential check) ----
+# ---- 2x2 Gaussian-rational matrices (for exp_horizontal and exp_vertical) ----
 
 def gmat(a, b, c, d):
     return (_gq(a), _gq(b), _gq(c), _gq(d))

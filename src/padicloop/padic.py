@@ -269,8 +269,10 @@ class PadicNumber:
         With n = +-p^vn * n_u, the unit is divided by n_u exactly instead of
         being multiplied by a full-width inverse: k = -U * (p^r)^-1 mod n_u
         makes U + k*p^r a multiple of n_u, and the quotient lies in [0, p^r)
-        and is congruent to U / n_u there.  The only inverse is modulo n_u.
-        Like the N-digit divisor it replaces, it caps the result at N digits.
+        and is congruent to U / n_u there.  The only inverse is modulo n_u,
+        or modulo p^r when n_u is the wider of the two, as it can be for a
+        denominator parsed from text.  Like the N-digit divisor it replaces,
+        it caps the result at N digits.
         """
         ctx = self.ctx
         if n == 0:
@@ -282,7 +284,9 @@ class PadicNumber:
         r = min(self.r, ctx.precision)
         pr = ctx.pow(r)
         u = self.unit % pr
-        if n_u != 1:
+        if n_u >= pr:
+            u = u * ctx.inv_mod(n_u % pr, r) % pr
+        elif n_u != 1:
             k = -(u % n_u) * pow(ctx.p, -r, n_u) % n_u
             u = (u + k * pr) // n_u
         if n < 0:
@@ -329,15 +333,9 @@ def from_rational(num, den, ctx):
     if num == 0:
         return PadicNumber.exact_zero(ctx)
     vn = vp_int(num, ctx.p)
-    vd = vp_int(den, ctx.p)
-    v = vn - vd
     n = ctx.precision
-    pn = ctx.pow(n)
-    u = num // ctx.pow(vn)
-    du = den // ctx.pow(vd)
-    if du != 1:  # a power of p as denominator needs no inverse
-        u *= ctx.inv_mod(du % pn, n)
-    return PadicNumber(ctx, _NONZERO, v, u % pn, n, v + n)
+    x = PadicNumber(ctx, _NONZERO, vn, num // ctx.pow(vn) % ctx.pow(n), n, vn + n)
+    return x if den == 1 else x.div_int(den)
 
 
 def from_int(n, ctx):
@@ -441,7 +439,7 @@ def sqrt(a):
     while k < r:
         k = min(2 * k, r)
         pk = ctx.pow(k)
-        x = (x + (a.unit % pk) * ctx.inv_mod(x, k)) * ctx.inv_mod(2, k) % pk
+        x = (x + (a.unit % pk) * ctx.inv_mod(x, k)) * ((pk + 1) // 2) % pk
     if x % p > (p - 1) // 2:
         x = ctx.pow(r) - x
     v = a.v // 2

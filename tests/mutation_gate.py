@@ -93,6 +93,9 @@ MUTANTS = {
         "(vec.a, vec.b, vec.c - one)) < 0:",
         ("tests/test_clifford.py",),
     ),
+    "exp-horizontal-drops-1/y": (
+        "clifford.py", "(tan(y) / y).re", "tan(y).re", ("tests/test_analytic.py",),
+    ),
     "rotation-act-sign": (
         "clifford.py", "r12 * -rep.m21", "r12 * rep.m21", ("tests/test_clifford.py",),
     ),

@@ -28,8 +28,8 @@ from padicloop.qpi import QpiElement
 
 
 def _exp_series(x):
-    """Sum x^n/n! with the factorial tail bound; works for scalars, Q_p(i)
-    elements and matrices alike."""
+    """Sum x^n/n! with the factorial tail bound, for scalars and Q_p(i)
+    elements alike."""
     p = x.ctx.p
     lb = x.valuation_lower_bound
     one = _one_like(x)

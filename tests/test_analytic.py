@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicloop import INFINITE, PadicNumber, PrimeContext, from_int, from_rational
+from padicloop import INFINITE, PadicNumber, PrimeContext, clifford, from_int, from_rational, sqrt
 from padicloop.analytic import (
     _require,
     arcsin,
@@ -16,14 +16,18 @@ from padicloop.analytic import (
     cos,
     exp,
     log,
-    matrix_exp,
     sin,
     sin_cos_tan,
     tan,
 )
 from padicloop.checks import _rand_padic
-from padicloop.errors import DomainError
-from padicloop.matrix import Mat2
+from padicloop.clifford import (
+    ProjectiveRotation,
+    exp_horizontal,
+    exp_vertical,
+    rotation_compose,
+)
+from padicloop.errors import DomainError, NonSquare
 from padicloop.oracles import (
     GaussianRational,
     gmat,
@@ -95,12 +99,6 @@ class TestDomains:
         for alpha in (QpiElement.i_unit(C7), QpiElement(from_rational(1, 2, C7))):
             with pytest.raises(DomainError):
                 binomial_series(alpha, from_int(7, C7))
-
-    def test_matrix_exp_rejects_unit_entry(self):
-        z = QpiElement(from_int(7, C7))
-        u = QpiElement(from_int(1, C7))
-        with pytest.raises(DomainError):
-            matrix_exp(Mat2(u, z, z, z))
 
 
 class TestExp:
@@ -368,40 +366,38 @@ class TestBinomial:
 
 
 class TestMatrixExp:
+    """exp_horizontal and exp_vertical are the exponentials of the sphere's
+    generators [[0, beta], [-conj(beta), 0]] and diag(ia, -ia), in closed
+    form; the exact partial sums of the matrix series check them.  This
+    class and TestOracleDigits.test_matrix_exp_against_partial_sum keep the
+    name of the matrix series they once tested, so their test ids stay."""
+
     def test_zero_matrix(self):
-        got = matrix_exp(Mat2.zero(C7))
-        assert got.eq_to(Mat2.identity(C7))
+        identity = ProjectiveRotation.identity(C7)
+        z, z5 = PadicNumber.exact_zero(C7), PadicNumber.zero_mod(C7, 5)
+        for beta in (QpiElement(z, z), QpiElement(z5, z5), QpiElement(z, z5)):
+            assert exp_horizontal(beta).eq_to(identity)
 
     def test_diagonal_case_reduces_to_scalars(self):
-        ia = QpiElement.i_unit(C7) * from_int(7, C7)
-        got = matrix_exp(Mat2.diag(ia, -ia))
-        want = Mat2.diag(exp(ia), exp(-ia))
-        assert got.eq_to(want)
-        assert got.m12.is_zero and got.m21.is_zero
+        R = exp_vertical(from_int(7, C7))
+        ia = GaussianRational(0, 7)
+        E = gmat_exp_partial(gmat(ia, 0, 0, -ia), 40)
+        assert R.beta.is_exact_zero and E[1].is_zero
+        assert_digits_match(R.alpha, E[0] / E[0].re, 7, f"exp_vertical(7) = {R}")
 
     def test_rotation_generator_against_matrix_oracle(self):
         # X = [[0, beta], [-conj(beta), 0]] with beta = 7i
-        z = QpiElement.zero(C7)
-        beta = QpiElement(PadicNumber.exact_zero(C7), from_int(7, C7))
-        X = Mat2(z, beta, -beta.conj(), z)
-        got = matrix_exp(X)
-        w = gmat_exp_partial(gmat(0, GaussianRational(0, 7), GaussianRational(0, 7), 0), 40)
-        want = Mat2(*(to_kernel(g, C7, True) for g in w))
-        assert got.eq_to(want)
-        assert got.det().eq_to(QpiElement.one(C7))
+        beta = GaussianRational(0, 7)
+        R = exp_horizontal(to_kernel(beta, C7, True))
+        E = gmat_exp_partial(gmat(0, beta, -beta.conj(), 0), 40)
+        assert_digits_match(R.beta / R.alpha, E[1] / E[0], 7, f"exp_horizontal(7i) = {R}")
 
     def test_inverse_by_negation(self):
         rng = random.Random(1050)
         for _ in range(8):
-            X = Mat2(*(sample_disk_qpi(rng, C7) for _ in range(4)))
-            E = matrix_exp(X)
-            assert (E * matrix_exp(-X)).eq_to(Mat2.identity(C7))
-
-    def test_det_is_exp_of_trace(self):
-        rng = random.Random(1051)
-        for _ in range(8):
-            X = Mat2(*(sample_disk_qpi(rng, C7) for _ in range(4)))
-            assert matrix_exp(X).det().eq_to(exp(X.trace()))
+            beta = sample_disk_qpi(rng, C7)
+            R = rotation_compose(exp_horizontal(beta), exp_horizontal(-beta))
+            assert R.eq_to(ProjectiveRotation.identity(C7))
 
 
 class TestOracleAgreementBulk:
@@ -500,30 +496,75 @@ class TestOracleDigits:
 
     @pytest.mark.parametrize("n", (1, 2, 4, 8, 16))
     @pytest.mark.parametrize("p", ORACLE_PRIMES)
-    def test_matrix_exp_against_partial_sum(self, p, n):
-        # every component reported as nonzero or as an inexact zero; the
-        # exact zeros are pinned by the xfail below.  The kernel caps every m
-        # at its tail bound, below N + 3 here, and the terms after 2N + 12
-        # have valuation above N + 6, so the partial sum's digits are final
+    def test_matrix_exp_against_partial_sum(self, p, n, monkeypatch):
+        # exp_horizontal's class (1, beta') against the exact partial sum E of
+        # exp [[0, beta], [-conj(beta), 0]]: beta' = E12 / E11.  beta' has
+        # m <= N + 3, and the terms after 2N + 12 have valuation above N + 6,
+        # so the partial sum's digits are final.  A part known to O(p^m) is
+        # checked at a value of its disk with digits above p^m, since
+        # beta's digits must hold for every such value
         ctx = PrimeContext(p, n)
         rng = random.Random(1072 * 1000 + p * 100 + n)
-        for _ in range(8):
-            entries = [rand_disk_rational(rng, p, True) for _ in range(4)]
-            got = matrix_exp(Mat2(*(to_kernel(g, ctx, True) for g in entries)))
-            want = gmat_exp_partial(gmat(*entries), 2 * n + 12)
-            where = f"exp({entries}) at p={p}, N={n}: {got}"
-            for e, w in zip(got.entries(), want):
-                for c, q in ((e.re, w.re), (e.im, w.im)):
-                    if not c.is_exact_zero:
-                        assert_digits_match(c, GaussianRational(q), p, where)
+        z, z_n = PadicNumber.exact_zero(ctx), PadicNumber.zero_mod(ctx, n + 1)
+        betas = [QpiElement(z, z), QpiElement(z_n, z_n), QpiElement(z_n, z)]
+        for k in range(24):
+            g = rand_disk_rational(rng, p, k % 4 != 0)
+            if k % 4 == 1:
+                g = GaussianRational(0, g.re)
+            while k == 2 and _is_residue(g.norm(), p):
+                # y = sqrt(N(beta)) is then imaginary
+                g = rand_disk_rational(rng, p, True)
+            beta = to_kernel(g, ctx, True)
+            if k % 4 == 3:
+                beta = QpiElement(beta.re.truncate(beta.re.v + rng.randint(1, n)), beta.im)
+            betas.append(beta)
+        for v in (1, 2):
+            # p^v u beside a zero known only to O(p^m), m <= v, both ways round
+            u = PadicNumber.make(ctx, v, rng.randrange(1, p), v + n)
+            for m in range(1, v + 1):
+                betas += [QpiElement(u, PadicNumber.zero_mod(ctx, m)),
+                          QpiElement(PadicNumber.zero_mod(ctx, m), u)]
+        raised = []
 
-    @pytest.mark.xfail(strict=True, reason="matrix_exp stops on an exact-zero component "
-                       "that later terms would fill; see ROADMAP")
-    def test_matrix_exp_reports_no_false_exact_zero(self):
-        ctx = PrimeContext(3, 1)
-        entries = [GaussianRational(3), GaussianRational(3, 3), GaussianRational(6),
-                   GaussianRational(-3)]
-        got = matrix_exp(Mat2(*(to_kernel(g, ctx, True) for g in entries)))
-        want = gmat_exp_partial(gmat(*entries), 14)
-        for name, e, w in zip(("m11", "m12", "m21", "m22"), got.entries(), want):
-            assert_digits_match(e, w, 3, f"{name} = {e}")
+        def counted(a):
+            try:
+                root = sqrt(a)
+            except NonSquare:
+                raised.append(True)
+                raise
+            raised.append(False)
+            return root
+
+        monkeypatch.setattr(clifford, "sqrt", counted)
+        for beta in betas:
+            g = GaussianRational(_value_in_disk(beta.re, p, rng), _value_in_disk(beta.im, p, rng))
+            R = exp_horizontal(beta)
+            E = gmat_exp_partial(gmat(0, g, -g.conj(), 0), 2 * n + 12)
+            where = f"exp_horizontal({beta}) at {g}, p={p}, N={n}: {R}"
+            assert_digits_match(R.beta / R.alpha, E[1] / E[0], p, where)
+        # each NonSquare is followed by the root of -N(beta), so y was real
+        # at the calls left over: both branches were taken
+        assert 0 < raised.count(True) < raised.count(False)
+
+    def test_exp_horizontal_keeps_the_precise_part(self):
+        # N(beta) is known to O(7^8) only, but tan(y)/y - 1 = O(N(beta)) is
+        # known to O(7^8) too, so the part known to O(7^11) keeps all of it
+        ctx = PrimeContext(7, 8)
+        beta = QpiElement(PadicNumber.make(ctx, 3, 17, 5), PadicNumber.make(ctx, 3, 524233, 11))
+        R = exp_horizontal(beta)
+        assert (R.beta.re.m, R.beta.im.m) == (5, 11)
+
+
+def _value_in_disk(a, p, rng):
+    """A rational in a's disk: its representative, plus a random multiple of
+    p^m when a is known only to O(p^m)."""
+    if a.is_exact_zero:
+        return Fraction(0)
+    rep = 0 if a.is_zero else Fraction(a.unit) * Fraction(p) ** a.v
+    return rep + rng.randrange(p**3) * Fraction(p) ** a.m
+
+
+def _is_residue(q, p):
+    """Whether the unit part of the nonzero rational q is a square mod p."""
+    u = q / Fraction(p) ** rational_valuation(q, p)
+    return pow(u.numerator * pow(u.denominator, -1, p) % p, (p - 1) // 2, p) == 1

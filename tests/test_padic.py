@@ -86,12 +86,27 @@ class TestFromRationalInverses:
             return inv_mod(ctx, u, k)
 
         monkeypatch.setattr(PrimeContext, "inv_mod", counted)
-        for num, den in ((5, 1), (-12, 1), (98, 1), (3, 49), (-1, 7)):
+        # other denominators are divided out with div_int, modulo their unit
+        for num, den in ((5, 1), (-12, 1), (98, 1), (3, 49), (-1, 7), (1, 3), (-2, -147)):
             x = from_rational(num, den, C7)
             assert x.digits() == rational_to_padic_digits(Fraction(num, den), 7, 8)
         assert calls == []
-        from_rational(1, 3, C7)
-        assert calls == [3]
+
+    def test_a_denominator_wider_than_p_to_the_n_is_inverted_mod_p_to_the_n(self, monkeypatch):
+        # exact division by the whole denominator would cost a gcd at its
+        # width, and `analytic binom 1e-10000` parses one of 10,001 digits
+        calls = []
+        inv_mod = PrimeContext.inv_mod
+
+        def counted(ctx, u, k):
+            calls.append((u, k))
+            return inv_mod(ctx, u, k)
+
+        monkeypatch.setattr(PrimeContext, "inv_mod", counted)
+        for num, den in ((1, 10**40), (-3, 7 * 10**40 + 7)):
+            x = from_rational(num, den, C7)
+            assert x.digits() == rational_to_padic_digits(Fraction(num, den), 7, 8)
+        assert calls == [(10**40 % 7**8, 8), ((10**40 + 1) % 7**8, 8)]
 
 
 class TestFromRational:

@@ -1,7 +1,7 @@
 """Golden outputs of the series layer.
 
 Every analytic function (exp, log, sin, cos, tan, sin_cos_tan, arctan, arcsin,
-binomial_series, matrix_exp) is run on a fixed grid of seeded inputs, and each
+binomial_series) is run on a fixed grid of seeded inputs, and each
 result is reduced to its printed literal plus the (kind, v, unit, r, m) of
 every scalar component, the m of exact zeros included (it prints as O(p^m)).
 The expected digests in series_golden.json were recorded from the
@@ -27,14 +27,12 @@ from padicloop.analytic import (
     cos,
     exp,
     log,
-    matrix_exp,
     sin,
     sin_cos_tan,
     tan,
 )
 from padicloop.context import PrimeContext
 from padicloop.errors import PadicError
-from padicloop.matrix import Mat2
 from padicloop.padic import PadicNumber, format_padic, from_rational
 from padicloop.qpi import QpiElement
 
@@ -79,15 +77,6 @@ def _one_plus(x):
     return QpiElement(one) + x if isinstance(x, QpiElement) else one + x
 
 
-def _as_qpi(x):
-    return x if isinstance(x, QpiElement) else QpiElement(x)
-
-
-def _matrix(x):
-    a = _as_qpi(x)
-    return Mat2(a, a * a, -a, QpiElement.zero(x.ctx))
-
-
 FUNCTIONS = {
     "exp": exp,
     "log": lambda x: log(_one_plus(x)),
@@ -99,7 +88,6 @@ FUNCTIONS = {
     "arcsin": arcsin,
     "binomial_half": lambda x: binomial_series(from_rational(1, 2, x.ctx), x),
     "binomial_minus3": lambda x: binomial_series(from_rational(-3, 1, x.ctx), x),
-    "matrix_exp": lambda x: matrix_exp(_matrix(x)),
 }
 
 
@@ -108,8 +96,6 @@ def _fields(value):
         return f"{value.kind},{value.v},{value.unit},{value.r},{value.m}"
     if isinstance(value, QpiElement):
         return f"{_fields(value.re)}|{_fields(value.im)}"
-    if isinstance(value, Mat2):
-        return ";".join(_fields(a) for a in value.entries())
     return ";".join(_fields(a) for a in value)
 
 
