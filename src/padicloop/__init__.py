@@ -21,7 +21,6 @@ from .errors import (
 from .padic import (
     INFINITE,
     PadicNumber,
-    arith,
     format_padic,
     from_int,
     from_rational,
@@ -35,7 +34,6 @@ __all__ = [
     "INFINITE",
     "from_rational",
     "from_int",
-    "arith",
     "sqrt",
     "format_padic",
     "parse_padic",

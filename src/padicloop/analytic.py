@@ -124,20 +124,22 @@ def _plan(total, carrier, x, n, step, tail, dip, cap=INFINITE):
     )
     if any(mc is not None and low + R < mc for mc in frozen):
         return None
-    stop = _first_reaching(tail, n, step, total.known_precision)
-    if stop >= _MAX_TERMS:
-        return None
-    t = tail(stop)
     if None in frozen:
         # a component of the sum is an exact zero after a term only when x is
         # real (or, for sin and cos, pure imaginary), and then it is one in
         # every later term; the sum's is the last term's, capped at t
         x_zero_m = [c.m - vx for c in _comps(x) if c.is_exact_zero]
-        Q = min([N] + [c.m - E for c in _comps(carrier) if c.is_exact_zero] + x_zero_m)
         # an exact zero of x times one of the carrier adds the two m's, which
         # keeps the bound only when the former's m is at least vx
-        if min(x_zero_m, default=0) < 0 or low + Q < t:
+        if min(x_zero_m, default=0) < 0:
             return None
+        Q = min([N] + [c.m - E for c in _comps(carrier) if c.is_exact_zero] + x_zero_m)
+    stop = _first_reaching(tail, n, step, total.known_precision)
+    if stop >= _MAX_TERMS:
+        return None
+    t = tail(stop)
+    if None in frozen and low + Q < t:
+        return None
     return stop, t, [None if mc is None else min(mc, t) for mc in frozen]
 
 

@@ -166,22 +166,15 @@ class ProjectiveRotation:
         return ProjectiveRotation(QpiElement.one(ctx), QpiElement.zero(ctx))
 
     @staticmethod
-    def from_matrix(M):
-        """Accepts any matrix of rotation shape m21 = -conj(m12),
-        m22 = conj(m11)."""
-        if not (M.m21 + M.m12.conj()).is_zero or not (M.m22 - M.m11.conj()).is_zero:
-            raise DomainError("matrix is not of rotation shape")
-        return ProjectiveRotation(M.m11, M.m12)
-
-    @staticmethod
     def from_clifford_product(u, w):
         """The rotation induced by the double reflection sigma_u sigma_w,
-        through the product iota(u) iota(w)."""
+        through the product iota(u) iota(w), which as a product of two Pauli
+        matrices has rotation shape."""
         qu = quadratic_form(u, u)
         qw = quadratic_form(w, w)
         if qu.is_zero or qw.is_zero:
             raise IsotropicAxis("double reflection needs non-isotropic axes")
-        return ProjectiveRotation.from_matrix(iota(u) * iota(w))
+        return ProjectiveRotation(*(iota(u) * iota(w)).entries()[:2])
 
     @property
     def matrix(self):

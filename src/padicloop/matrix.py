@@ -13,20 +13,11 @@ class Mat2:
         self.m21 = m21
         self.m22 = m22
 
-    @property
-    def ctx(self):
-        return self.m11.ctx
-
     @staticmethod
     def identity(ctx):
         one = QpiElement.one(ctx)
         zero = QpiElement.zero(ctx)
         return Mat2(one, zero, zero, one)
-
-    @staticmethod
-    def diag(a, d):
-        zero = QpiElement.zero(a.ctx)
-        return Mat2(a, zero, zero, d)
 
     def entries(self):
         return (self.m11, self.m12, self.m21, self.m22)
@@ -45,19 +36,14 @@ class Mat2:
     def scale(self, s):
         return Mat2(*(a * s for a in self.entries()))
 
-    def scale_div(self, s):
-        return Mat2(*(a / s for a in self.entries()))
-
     def det(self):
         return self.m11 * self.m22 - self.m12 * self.m21
-
-    def adjugate(self):
-        return Mat2(self.m22, -self.m12, -self.m21, self.m11)
 
     def inverse(self):
         # the division raises for a determinant that is zero, exactly or to
         # its known precision
-        return self.adjugate().scale_div(self.det())
+        d = self.det()
+        return Mat2(self.m22 / d, -self.m12 / d, -self.m21 / d, self.m11 / d)
 
     def eq_to(self, other):
         return all(a.eq_to(b) for a, b in zip(self.entries(), other.entries()))

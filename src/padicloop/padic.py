@@ -358,30 +358,6 @@ def power(x, k, one):
     return result
 
 
-def arith(op, a, b):
-    """The four field operations with the strict precision contract, on Q_p
-    and on Q_p(i) alike.
-
-    Unlike the operators, an add/sub that cancels every tracked digit of two
-    bona fide nonzero operands raises PrecisionExhausted: no digit of the
-    result is determinable, not even its being zero.  In Q_p(i) that means
-    both components cancelled.
-    """
-    if op == "add" or op == "sub":
-        result = a + b if op == "add" else a - b
-        if result.is_zero_mod and not a.is_zero and not b.is_zero:
-            raise PrecisionExhausted(
-                "operands agree to their full known precision; no result digit "
-                "is determinable"
-            )
-        return result
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise PadicError(f"unknown operation {op!r}")
-
-
 def _sqrt_mod_p(a, p):
     """Tonelli-Shanks: a square root of the residue a modulo p, or None."""
     a %= p

@@ -74,11 +74,6 @@ class QpiElement:
         return self.re.is_exact_zero and self.im.is_exact_zero
 
     @property
-    def is_zero_mod(self):
-        """Both components cancelled to inexact zeros (see padic.arith)."""
-        return self.re.is_zero_mod and self.im.is_zero_mod
-
-    @property
     def valuation_lower_bound(self):
         return min(self.re.valuation_lower_bound, self.im.valuation_lower_bound)
 

@@ -365,12 +365,10 @@ class TestBinomial:
             assert lhs.eq_to(rhs)
 
 
-class TestMatrixExp:
+class TestGeneratorExp:
     """exp_horizontal and exp_vertical are the exponentials of the sphere's
     generators [[0, beta], [-conj(beta), 0]] and diag(ia, -ia), in closed
-    form; the exact partial sums of the matrix series check them.  This
-    class and TestOracleDigits.test_matrix_exp_against_partial_sum keep the
-    name of the matrix series they once tested, so their test ids stay."""
+    form; the exact partial sums of the matrix series check them."""
 
     def test_zero_matrix(self):
         identity = ProjectiveRotation.identity(C7)
@@ -496,7 +494,7 @@ class TestOracleDigits:
 
     @pytest.mark.parametrize("n", (1, 2, 4, 8, 16))
     @pytest.mark.parametrize("p", ORACLE_PRIMES)
-    def test_matrix_exp_against_partial_sum(self, p, n, monkeypatch):
+    def test_exp_horizontal_against_partial_sum(self, p, n, monkeypatch):
         # exp_horizontal's class (1, beta') against the exact partial sum E of
         # exp [[0, beta], [-conj(beta), 0]]: beta' = E12 / E11.  beta' has
         # m <= N + 3, and the terms after 2N + 12 have valuation above N + 6,

@@ -280,3 +280,20 @@ def test_factorial_dip_places_an_exact_zero_m(N, v, unit, m):
     x = QpiElement(PadicNumber.make(ctx, v, unit, m), PadicNumber.exact_zero(ctx, 1))
     for fn in ("sin", "tan"):
         assert outcome(getattr(analytic, fn), x) == outcome(reference.FUNCTIONS[fn], x)
+
+
+def test_exact_zero_part_below_v_skips_the_tail_search(monkeypatch):
+    # x's exact-zero part has m 0 below v(x) = 1, which rejects every plan;
+    # the rejection comes before _first_reaching gallops over the tail, so
+    # the object recurrence runs with no search per term
+    ctx = PrimeContext(7, 64)
+    x = QpiElement(from_rational(119, 23, ctx), PadicNumber.exact_zero(ctx, 0))
+    searched = []
+    first_reaching = analytic._first_reaching
+    monkeypatch.setattr(
+        analytic, "_first_reaching", lambda *args: searched.append(args[1]) or first_reaching(*args)
+    )
+    for fn in ("exp", "sin"):
+        assert outcome(getattr(analytic, fn), x) == outcome(reference.FUNCTIONS[fn], x)
+    assert binomial_mismatches([from_rational(1, 2, ctx)], x) == []
+    assert searched == []
