@@ -21,7 +21,7 @@ in two steps.  A precision plan runs the object recurrence term by term, the
 one that fixes every component's (kind, v, r, m), until a digit-free bound
 shows that no later term can lower any component's m: the bound is the element
 valuation n*v(x) - v_p(n!) (exp, sin, cos, binomial) or n*v(x) -
-floor(log_p n) (log) together with the components' m at that point.  The sum's
+floor(log_p n) (log) together with the carrier's m at that point.  The sum's
 m is then frozen, and the stop index is the first n whose tail bound above
 reaches it.  The value is then summed on the raw integers of x (a
 Gaussian-integer pair for Q_p(i)) modulo p^(m + g), with g the valuation of a
@@ -86,7 +86,7 @@ def _comps(z):
     return (z.re, z.im) if isinstance(z, QpiElement) else (z,)
 
 
-def _plan(total, carrier, x, n, step, tail, dip, cap=INFINITE):
+def _plan(total, carrier, n, step, tail, dip):
     """Where the object recurrence would stop, and the m it would report.
 
     `total` is the partial sum after term n, and `carrier` is what the
@@ -95,45 +95,34 @@ def _plan(total, carrier, x, n, step, tail, dip, cap=INFINITE):
     once no later term can lower any component's m it is frozen, and the stop
     is the first index n + k*step whose tail bound reaches it.
 
-    The bound is digit-free.  With E the carrier's valuation bound and
-    vx that of x, PadicNumber's rules (a product's m is the smaller of
-    m(a) + v(b) and m(b) + v(a), a sum's the smaller m, div_int keeps at
-    most N digits) keep every later inexact component at m >= E' + R, where
-    E' is that term's valuation bound and R = min(m - E over the carrier,
-    m - vx over x, N, cap); exact zeros keep m >= E' + Q in the same way, Q
-    taking the exact zeros' m.  Binomial passes cap = m(alpha): each term's
-    further factor alpha - (k - 1) has valuation >= 0, which E' leaves out,
-    and m >= min(m(alpha), N), so it lowers R and Q to no less than that,
-    however many digits of alpha it cancels.  E' never falls more than `dip`
-    below E, by v_p(k!/n!) <= (k - n) - 1 + s_p(n) // (p-1) for k > n, s_p
-    the base-p digit sum (exp, sin, cos, binomial), and v_p(k) <= k - n - 1
-    + floor(log_p(n + 1)) (log).
+    The digit-free bound reads the carrier alone.  With E its valuation bound,
+    PadicNumber's rules (a product's m is min(m(a) + v(b), m(b) + v(a)), a
+    sum's the smaller m) keep every later inexact component at m >= E' + R and
+    exact zero at m >= E' + Q, E' that term's valuation bound, R = min(m - E
+    over the carrier, N) and Q the same over its exact zeros.  Each loop
+    multiplies the carrier by x (x^2 for sin and cos; binomial by alpha - 0 =
+    alpha too) before its first plan, and no product or div_int keeps more
+    digits above v than a factor or N (in Q_p(i) each pair of parts lands in
+    one part, of m <= v(a_i) + m(b_j)), so R is already at most x's and
+    m(alpha); a later alpha - (k - 1) has m >= min(m(alpha), N) and v >= 0,
+    which E' leaves out.  A sum's exact zero (x real, or pure imaginary for
+    sin and cos) is the second of two exact zeros added: the carrier's times
+    the other factor's real part, or div_int's reset to m = N + E'.  E' falls
+    at most `dip` below E: v_p(k!/n!) <= k - n - 1 + s_p(n) // (p-1), s_p the
+    base-p digit sum, and for log v_p(k) <= k - n - 1 + log_p(n + 1), k > n.
 
     Returns (stop, tail at stop, each component's final m, None for an exact
     zero), or None while this does not yet prove the m frozen.
     """
     frozen = [None if c.is_exact_zero else c.m for c in _comps(total)]
-    vx = x.valuation_lower_bound
     E = carrier.valuation_lower_bound
     low = E - dip
-    N = min(x.ctx.precision, cap)
-    R = min(
-        min(c.m for c in _comps(carrier) if not c.is_exact_zero) - E,
-        min(c.m for c in _comps(x) if not c.is_exact_zero) - vx,
-        N,
-    )
+    N = carrier.ctx.precision
+    R = min(min(c.m for c in _comps(carrier) if not c.is_exact_zero) - E, N)
     if any(mc is not None and low + R < mc for mc in frozen):
         return None
     if None in frozen:
-        # a component of the sum is an exact zero after a term only when x is
-        # real (or, for sin and cos, pure imaginary), and then it is one in
-        # every later term; the sum's is the last term's, capped at t
-        x_zero_m = [c.m - vx for c in _comps(x) if c.is_exact_zero]
-        # an exact zero of x times one of the carrier adds the two m's, which
-        # keeps the bound only when the former's m is at least vx
-        if min(x_zero_m, default=0) < 0:
-            return None
-        Q = min([N] + [c.m - E for c in _comps(carrier) if c.is_exact_zero] + x_zero_m)
+        Q = min([N] + [c.m - E for c in _comps(carrier) if c.is_exact_zero])
     stop = _first_reaching(tail, n, step, total.known_precision)
     if stop >= _MAX_TERMS:
         return None
@@ -369,7 +358,7 @@ def _factorial_series(x, s, e, sign):
             # digits at or beyond the tail bound would still move if more
             # terms were added; cap every component there
             return total.truncate(tail(n))
-        plan = _plan(total, term, z, n, s, tail, _digit_sum(n, p) // (p - 1) - 1)
+        plan = _plan(total, term, n, s, tail, _digit_sum(n, p) // (p - 1) - 1)
         if plan:
             return _factorial_value(x, s, e, sign, *plan)
     raise PadicError("factorial series failed to terminate")
@@ -402,7 +391,7 @@ def log(y):
         total = term if total is None else total + term
         if tail(n) >= total.known_precision:
             return total.truncate(tail(n))
-        plan = _plan(total, xn, x, n, 1, tail, _ilog(n + 1, p) - 1)
+        plan = _plan(total, xn, n, 1, tail, _ilog(n + 1, p) - 1)
         if plan:
             return _log_value(x, *plan)
     raise PadicError("log series failed to terminate")
@@ -504,9 +493,8 @@ def binomial_series(alpha, x):
         if tail(n) >= total.known_precision:
             return total.truncate(tail(n))
         if ab:
-            # the factorial dip holds: each later factor alpha - (k - 1) has v >= 0
             dip = _digit_sum(n, p) // (p - 1) - 1
-            plan = _plan(total, term, x, n, 1, tail, dip, alpha.m)
+            plan = _plan(total, term, n, 1, tail, dip)
             if plan:
                 return _binomial_value(x, *ab, *plan)
     raise PadicError("binomial series failed to terminate")

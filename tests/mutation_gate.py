@@ -57,6 +57,18 @@ MUTANTS = {
     "plan-final-m-plus-1": (
         "analytic.py", "min(mc, t) for mc in frozen", "t + 1 for mc in frozen", SERIES,
     ),
+    "plan-carrier-R-dropped": (
+        "analytic.py",
+        "R = min(min(c.m for c in _comps(carrier) if not c.is_exact_zero) - E, N)",
+        "R = N",
+        SERIES,
+    ),
+    "plan-carrier-Q-dropped": (
+        "analytic.py",
+        "Q = min([N] + [c.m - E for c in _comps(carrier) if c.is_exact_zero])",
+        "Q = N",
+        SERIES,
+    ),
     "div-int-cap-plus-1": (
         "padic.py",
         "r = min(self.r, ctx.precision)\n",

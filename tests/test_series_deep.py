@@ -190,10 +190,10 @@ def test_binomial_plan_waits_for_its_dip(monkeypatch):
     proven = []
     plan = analytic._plan
 
-    def recording(*args):
-        result = plan(*args)
+    def recording(total, carrier, n, *rest):
+        result = plan(total, carrier, n, *rest)
         if result:
-            proven.append(args[3])
+            proven.append(n)
         return result
 
     monkeypatch.setattr(analytic, "_plan", recording)
@@ -282,18 +282,22 @@ def test_factorial_dip_places_an_exact_zero_m(N, v, unit, m):
         assert outcome(getattr(analytic, fn), x) == outcome(reference.FUNCTIONS[fn], x)
 
 
-def test_exact_zero_part_below_v_skips_the_tail_search(monkeypatch):
-    # x's exact-zero part has m 0 below v(x) = 1, which rejects every plan;
-    # the rejection comes before _first_reaching gallops over the tail, so
-    # the object recurrence runs with no search per term
+def test_exact_zero_part_below_v_reaches_the_engine(monkeypatch):
+    # x's exact-zero part has m 0 below v(x) = 1.  In exp's and binomial's
+    # first term, 1 * x, the object formula keeps the second of the two exact
+    # zeros, im(1) * re(x), so x's m 0 never reaches a term and the plan is
+    # proven after one term.  sin starts from x, whose exact zero its terms
+    # carry, so it stays on the recurrence.
     ctx = PrimeContext(7, 64)
     x = QpiElement(from_rational(119, 23, ctx), PadicNumber.exact_zero(ctx, 0))
-    searched = []
-    first_reaching = analytic._first_reaching
-    monkeypatch.setattr(
-        analytic, "_first_reaching", lambda *args: searched.append(args[1]) or first_reaching(*args)
-    )
+    calls = []
+    for name in ("_factorial_value", "_binomial_value"):
+        value = getattr(analytic, name)
+        monkeypatch.setattr(
+            analytic, name, lambda *args, name=name, value=value: calls.append(name) or value(*args)
+        )
     for fn in ("exp", "sin"):
         assert outcome(getattr(analytic, fn), x) == outcome(reference.FUNCTIONS[fn], x)
+    assert calls == ["_factorial_value"]
     assert binomial_mismatches([from_rational(1, 2, ctx)], x) == []
-    assert searched == []
+    assert calls == ["_factorial_value", "_binomial_value"]
