@@ -23,15 +23,22 @@ shows that no later term can lower any component's m: the bound is the element
 valuation n*v(x) - v_p(n!) (exp, sin, cos, binomial) or n*v(x) -
 floor(log_p n) (log) together with the carrier's m at that point.  The sum's
 m is then frozen, and the stop index is the first n whose tail bound above
-reaches it.  The value is then summed on the raw integers of x (a
-Gaussian-integer pair for Q_p(i)) modulo p^(m + g), with g the valuation of a
-common denominator: n! for exp, sin and cos, lcm(1..n) for log, b^n n! for
-binomial with alpha = a/b.  Rectangular splitting (Paterson-Stockmeyer, and
-Smith for hypergeometric series) computes the powers x^1..x^s with
+reaches it.  The value is then summed modulo p^(m + g), with g the valuation
+of a common denominator: n! for exp, sin and cos, lcm(1..n) for log, b^n n!
+for binomial with alpha = a/b.  Rectangular splitting (Paterson-Stockmeyer,
+and Smith for hypergeometric series) computes the powers x^1..x^s with
 s ~ sqrt(n), sums blocks of s terms with small-integer coefficients, and joins
 the blocks by Horner's rule in x^s, so about 2 sqrt(n) full-width products
-replace n of them.  A single inverse of the denominator's unit ends it.  A
-series that stops before the plan is proven simply finishes on the object
+replace n of them.  Where p^(m + g) is wide, x is first written part by part
+as Z/d modulo its precision, Z a small Gaussian-integer pair and d prime to p
+(rational reconstruction); the sum is then taken at Z/d homogenized: the
+powers Z^i d^(s-1-i) are exact small integers, Horner's rule multiplies by
+Z^s, each block weight carries the d^s that step leaves out, so every product
+is big times small, and the denominator gains a power of d.  Otherwise it is
+taken at x's raw integers (a Gaussian-integer pair for Q_p(i)), the case
+d = 1.  A single inverse of the denominator's unit ends it.  Both are lifts
+of x modulo its precision, so they give the same digits (see _planned_sum).
+A series that stops before the plan is proven simply finishes on the object
 recurrence, so every digit and every O-term is the recurrence's own.
 
 binomial_series reaches the engine only when alpha is a small rational a/b
@@ -41,7 +48,7 @@ by a small integer with div_int, which divides the integer's unit out exactly
 with one inverse modulo that word-sized unit and none modulo p^N.
 """
 
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import factorial, isqrt, lcm, prod
 from operator import mul
 
@@ -162,13 +169,19 @@ def _vp_factorial(n, p):
     return (n - _digit_sum(n, p)) // (p - 1)
 
 
-# ---- value: the planned partial sum on raw integers ----
+# ---- value: the planned partial sum on Gaussian integers ----
 
 
 def _gmul(a, b, P):
     """Gaussian-integer product mod P."""
     re, im = gaussian_product(a, b)
     return re % P, im % P
+
+
+def _fold(n, P):
+    """n modulo P, left as it is while |n| < P, so that the powers of a
+    small rational form stay small signed integers."""
+    return n if abs(n) < P else n % P
 
 
 def _raw(x, P):
@@ -180,19 +193,27 @@ def _raw(x, P):
     return tuple(out)
 
 
-def _rect(z, blocks, P):
-    """Sum over blocks j of y^j * w_j * sum_i c_ji z^i mod P, y = z^s, by
-    rectangular splitting: the powers z^0..z^s once, each block as small
-    integers times those powers, then Horner's rule in y.  `blocks` holds
-    (w_j, [c_j0, c_j1, ...]) from the last block to the first; every block
-    but the last has s coefficients."""
+def _rect(z, d, blocks, P):
+    """d^k times the sum over the J blocks j of y^j * w_j * sum_i c_ji
+    (z/d)^i mod P, y = (z/d)^s, k = s J - 1, as (that sum, k).
+
+    Rectangular splitting: the homogenized powers z^i d^(s-1-i), i < s,
+    once, each block as small integers times those powers, then Horner's
+    rule in z^s; the d^s that each Horner step leaves out is in the weights.
+    `blocks` holds (w_j, [c_j0, c_j1, ...]) from the last block to the first,
+    w_j carrying d^s once for each later block; every block but the last has
+    s coefficients.  For small z and d the powers are small integers and
+    every product is big times small; d = 1 scales nothing."""
     s = len(blocks[-1][1])
     re, im = [1, z[0]], [0, z[1]]
     while len(re) <= s:
-        a, b = _gmul((re[-1], im[-1]), z, P)
-        re.append(a)
-        im.append(b)
+        a, b = gaussian_product((re[-1], im[-1]), z)
+        re.append(_fold(a, P))
+        im.append(_fold(b, P))
     y = re[s], im[s]
+    if d > 1:
+        scale = list(accumulate(repeat(d, s - 1), mul, initial=1))[::-1]
+        re, im = list(map(mul, re, scale)), list(map(mul, im, scale))
     real = not any(im)
     acc = (0, 0)
     for w, coeffs in blocks:
@@ -201,15 +222,22 @@ def _rect(z, blocks, P):
             (a + w * sum(map(mul, coeffs, re))) % P,
             b if real else (b + w * sum(map(mul, coeffs, im))) % P,
         )
-    return acc
+    return acc, s * len(blocks) - 1
 
 
-def _hyper_blocks(qs, P, ps=None):
+def _times_x(T, k, Z, P):
+    """(T / d^k) * (Z / d) as a numerator over d^(k + 1)."""
+    return _gmul(T, Z, P), k + 1
+
+
+def _hyper_blocks(qs, d, P, ps=None):
     """Blocks of T = sum_{k<=K} z^k ps[0]...ps[k-1] qs[k]...qs[K-1] for the
     K small integers qs and ps (all 1 if ps is None), so that
-    sum_{k<=K} z^k prod_{i<k} ps[i]/qs[i] = T / (qs[0]...qs[K-1])."""
+    sum_{k<=K} z^k prod_{i<k} ps[i]/qs[i] = T / (qs[0]...qs[K-1]), with the
+    weights _rect takes at z / d."""
     K = len(qs)
     s = _block_size(K)
+    D = d**s
     starts = range(0, K + 1, s)
     blocks, w = [], 1
     for start in reversed(starts):
@@ -217,7 +245,7 @@ def _hyper_blocks(qs, P, ps=None):
         if start + s > K:
             coeffs.append(1)
         blocks.append((w, coeffs))
-        w = w * coeffs[0] % P
+        w = w * (coeffs[0] * D) % P
     if ps is None:
         return blocks
     # each block also takes the ps before its terms: those of earlier blocks
@@ -230,14 +258,17 @@ def _hyper_blocks(qs, P, ps=None):
     return out[::-1]
 
 
-def _log_blocks(L, K, P):
-    """Blocks of T = sum_{k<=K} z^k L/(k+1), L = lcm(1..K+1)."""
+def _log_blocks(L, K, d, P):
+    """Blocks of T = sum_{k<=K} z^k L/(k+1), L = lcm(1..K+1), with the
+    weights _rect takes at z / d."""
     s = _block_size(K)
-    blocks = []
+    D = d**s
+    blocks, Dj = [], 1
     for start in reversed(range(0, K + 1, s)):
-        ds = range(start + 1, min(start + s, K + 1) + 1)
-        D = lcm(*ds)
-        blocks.append((L // D % P, [D // d for d in ds]))
+        ks = range(start + 1, min(start + s, K + 1) + 1)
+        M = lcm(*ks)
+        blocks.append((L // M * Dj % P, [M // k for k in ks]))
+        Dj = Dj * D % P
     return blocks
 
 
@@ -245,19 +276,57 @@ def _block_size(K):
     return isqrt(K) + 1
 
 
-def _planned_sum(x, t, ms, den, g, numerator):
-    """The planned partial sum T / den from the raw integers of x.
+# the width of p^(m + g) from which the value step first tries x's small
+# rational form: below it the form costs more than the full-width powers
+_RATIONAL_BITS = 512
 
-    numerator(X, P) returns T modulo P = p^(max m + g), where g = v_p(den),
-    for X = x mod P; T / den is formed with one inverse of den's unit, and
-    each component is normalized at its planned m (an exact zero at the
-    tail bound t)."""
+
+def _rational_form(x, bound):
+    """(Z, d) with x = Z / d modulo each component's p^m: Z a Gaussian-integer
+    pair, 0 as each zero component's part, and d > 0 prime to p the lcm of
+    the components' denominators, each of |a|, b < bound; or None."""
+    nums, dens = [0, 0], [1, 1]
+    for k, c in enumerate(_comps(x)):
+        if not c.is_zero:
+            ab = _small_rational(c, bound)
+            if ab is None:
+                return None
+            nums[k], dens[k] = ab
+    d = lcm(*dens)
+    return (nums[0] * (d // dens[0]), nums[1] * (d // dens[1])), d
+
+
+def _planned_sum(x, t, ms, den, g, degree, numerator):
+    """The planned partial sum T / den at x's small rational form, or else
+    at x's raw integers.
+
+    numerator(Z, d, P) returns (T', k) with T' / d^k = T modulo
+    P = p^(max m + g), g = v_p(den), at x = Z / d; T / den is formed with
+    one inverse of den's unit times d^k, and each component is normalized
+    at its planned m (an exact zero at the tail bound t).  Where P is at
+    least _RATIONAL_BITS wide, Z / d is x's small rational form, each part
+    under 2^(bits(P) / (2 degree)) so that y = x^degree, the power the
+    Horner steps multiply by, and d^degree stay narrower than P; otherwise,
+    or when x has no such form, Z is x's representative and d = 1.
+
+    Either lift gives every digit.  The plan fixed the stop, t and each
+    component's m from x's (kind, v, m) alone, and Z / d agrees with x
+    modulo p^m(x) component by component (a zero component is 0 in both).
+    The kernel's m rules bound how far a change of an input below its m
+    spreads: a product has m = min(m(a) + v(b), m(b) + v(a)), div_int keeps
+    m - v(n), a sum takes the smaller m, and in Q_p(i) each pair of parts
+    lands in exactly one part of the result.  So each term, and the partial
+    sum, at Z / d and at x's representative agree modulo each component's
+    planned m, where both are normalized."""
     ctx = x.ctx
     top = max(m for m in ms if m is not None)
-    pg = ctx.pow(g)
-    P = pg * ctx.pow(top)
-    T = numerator(_raw(x, P), P)
-    inv = ctx.inv_mod(den // pg % ctx.pow(top), top)
+    pg, pt = ctx.pow(g), ctx.pow(top)
+    P = pg * pt
+    bits = P.bit_length()
+    form = bits >= _RATIONAL_BITS and _rational_form(x, 1 << bits // (2 * degree))
+    Z, d = form or (_raw(x, P), 1)
+    T, k = numerator(Z, d, P)
+    inv = ctx.inv_mod(den // pg * pow(d, k, pt) % pt, top)
     comps = [
         PadicNumber.exact_zero(ctx, t) if m is None
         else PadicNumber.make(ctx, 0, c // pg * inv, m)
@@ -273,23 +342,31 @@ def _factorial_value(x, s, e, sign, stop, t, ms):
     for j in range(2, s + 1):
         qs = list(map(mul, qs, range(e + j, stop + 1, s)))
 
-    def numerator(X, P):
-        z = _gmul(X, X, P) if s == 2 else X
+    def numerator(Z, d, P):
+        z = Z if s == 1 else [_fold(c, P) for c in gaussian_product(Z, Z)]
         if sign < 0:
-            z = (-z[0] % P, -z[1] % P)
-        T = _rect(z, _hyper_blocks(qs, P), P)
-        return _gmul(T, X, P) if e else T
+            z = (-z[0], -z[1])
+        ds = d**s
+        T, k = _rect(z, ds, _hyper_blocks(qs, ds, P), P)
+        return _times_x(T, s * k, Z, P) if e else (T, s * k)
 
-    return _planned_sum(x, t, ms, factorial(stop), _vp_factorial(stop, x.ctx.p), numerator)
+    return _planned_sum(
+        x, t, ms, factorial(stop), _vp_factorial(stop, x.ctx.p),
+        s * _block_size(len(qs)), numerator,
+    )
 
 
 def _log_value(x, stop, t, ms):
     """x * sum_{k<stop} (-x)^k / (k + 1), over the denominator
     lcm(1..stop), whose valuation grows like log stop, not like stop."""
     L = lcm(*range(1, stop + 1))
+
+    def numerator(Z, d, P):
+        T, k = _rect((-Z[0], -Z[1]), d, _log_blocks(L, stop - 1, d, P), P)
+        return _times_x(T, k, Z, P)
+
     return _planned_sum(
-        x, t, ms, L, _ilog(stop, x.ctx.p),
-        lambda X, P: _gmul(_rect((-X[0] % P, -X[1] % P), _log_blocks(L, stop - 1, P), P), X, P),
+        x, t, ms, L, _ilog(stop, x.ctx.p), _block_size(stop - 1), numerator
     )
 
 
@@ -300,7 +377,8 @@ def _binomial_value(x, a, b, stop, t, ms):
     qs = range(b, (stop + 1) * b, b)
     return _planned_sum(
         x, t, ms, b**stop * factorial(stop), _vp_factorial(stop, x.ctx.p),
-        lambda X, P: _rect(X, _hyper_blocks(qs, P, ps), P),
+        _block_size(stop),
+        lambda Z, d, P: _rect(Z, d, _hyper_blocks(qs, d, P, ps), P),
     )
 
 
@@ -309,25 +387,28 @@ def _binomial_value(x, a, b, stop, t, ms):
 _SMALL = 1 << 20
 
 
-def _small_rational(alpha):
+def _small_rational(alpha, bound=_SMALL):
     """(a, b) with a/b = alpha modulo p^m(alpha), b > 0 prime to p and |a|,
-    b < _SMALL, or None if there is none or alpha is a zero.
+    b < bound, or None if there is none or alpha is a zero.
 
     Wang's rational reconstruction: the half-extended Euclidean algorithm on
-    (p^r, unit) keeps each remainder congruent to its cofactor times the
+    (p^k, unit) keeps each remainder congruent to its cofactor times the
     unit, and the cofactors only grow, so it stops at the first remainder
-    below _SMALL or at the first cofactor that reaches it."""
+    below bound or at the first cofactor that reaches it.  Such a pair is
+    unique modulo p^k once p^k > 2 bound^2, so k is the least such exponent,
+    or r, and one product checks the pair against all r digits."""
     if alpha.is_zero:
         return None
     ctx = alpha.ctx
-    r0, r1, t0, t1 = ctx.pow(alpha.r), alpha.unit, 0, 1
-    while r1 >= _SMALL:
+    pk = ctx.pow(min(alpha.r, _ilog(2 * bound * bound, ctx.p) + 1))
+    r0, r1, t0, t1 = pk, alpha.unit % pk, 0, 1
+    while r1 >= bound:
         q = r0 // r1
         r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-        if abs(t1) >= _SMALL:
+        if abs(t1) >= bound:
             return None
     a = r1 * ctx.p**alpha.v
-    if t1 % ctx.p == 0 or a >= _SMALL:
+    if t1 % ctx.p == 0 or a >= bound or (t1 * alpha.unit - r1) % ctx.pow(alpha.r):
         return None
     return (a, t1) if t1 > 0 else (-a, -t1)
 

@@ -69,6 +69,15 @@ MUTANTS = {
         "Q = N",
         SERIES,
     ),
+    "rational-form-unverified": (
+        "analytic.py",
+        " or (t1 * alpha.unit - r1) % ctx.pow(alpha.r):",
+        ":",
+        SERIES,
+    ),
+    "rational-form-den-power": (
+        "analytic.py", "return _gmul(T, Z, P), k + 1", "return _gmul(T, Z, P), k", SERIES,
+    ),
     "div-int-cap-plus-1": (
         "padic.py",
         "r = min(self.r, ctx.precision)\n",

@@ -11,7 +11,9 @@ arithmetic results with r < N, literals longer than N, components with
 unequal r and inexact-zero components.  p = 3 runs every class at both
 depths; the other grid points run about half of them, so that tier-1 stays
 within a few seconds.  A seeded batch of random inputs at N <= 64 then
-reaches the edges of the precision plan.
+reaches the edges of the precision plan.  Last, the value step is forced onto
+x's small rational form Z / d at every width, and the width rule that keeps
+narrow sums off it is pinned.
 """
 
 import random
@@ -19,7 +21,7 @@ import random
 import pytest
 
 import series_reference as reference
-from padicloop import analytic
+from padicloop import analytic, checks
 from padicloop.context import PrimeContext
 from padicloop.errors import PadicError
 from padicloop.padic import PadicNumber, from_rational
@@ -301,3 +303,98 @@ def test_exact_zero_part_below_v_reaches_the_engine(monkeypatch):
     assert calls == ["_factorial_value"]
     assert binomial_mismatches([from_rational(1, 2, ctx)], x) == []
     assert calls == ["_factorial_value", "_binomial_value"]
+
+
+def _top_digit_changed(x):
+    """x with its last tracked digit moved: the digits below it are still
+    those of x, so they reconstruct while all of them do not."""
+    return PadicNumber.make(x.ctx, x.v, x.unit + x.ctx.pow(x.r - 1), x.m)
+
+
+def rational_form_inputs(ctx):
+    """Small rationals, real and Gaussian, truncated (r < N), beside an exact
+    or inexact zero, and with the top digit changed."""
+    p, N = ctx.p, ctx.precision
+    a, b = from_rational(3 * p, 5, ctx), from_rational(-2 * p**2, 9 if p == 7 else 7, ctx)
+    inputs = [
+        a,
+        b,
+        QpiElement(a, b),
+        QpiElement(PadicNumber.exact_zero(ctx), a),
+        a.truncate(a.v + max(1, N // 2)),
+        QpiElement(b, a.truncate(a.v + max(1, N // 3))),
+        QpiElement(a, PadicNumber.exact_zero(ctx, 1)),
+        QpiElement(b, PadicNumber.zero_mod(ctx, N + 2)),
+    ]
+    if N > 1:
+        inputs += [_top_digit_changed(a), QpiElement(_top_digit_changed(b), a)]
+    return inputs
+
+
+def _record_forms(monkeypatch):
+    """Each result of analytic._rational_form from now on, None for an
+    attempt that found no form."""
+    forms = []
+    rational_form = analytic._rational_form
+    monkeypatch.setattr(
+        analytic, "_rational_form", lambda *args: forms.append(rational_form(*args)) or forms[-1]
+    )
+    return forms
+
+
+def test_rational_form_matches_reference_when_forced(monkeypatch):
+    # with the width rule at 0 every planned sum tries x's small rational
+    # form; Z / d and x's representative are both lifts of x modulo each
+    # component's m, so every field must still be the reference's
+    monkeypatch.setattr(analytic, "_RATIONAL_BITS", 0)
+    forms = _record_forms(monkeypatch)
+    mismatched = []
+    for p in (3, 7, 11, 10007):
+        for N in (1, 3, 12, 40, 100):
+            ctx = PrimeContext(p, N)
+            alphas = [from_rational(a, b, ctx) for a, b in ((1, 2), (-3, 1), (5, 7))]
+            for x in rational_form_inputs(ctx):
+                for fn in FUNCTIONS:
+                    got = outcome(getattr(analytic, fn), x)
+                    if mismatched_fields(got, outcome(reference.FUNCTIONS[fn], x)):
+                        mismatched.append((fn, repr(x)))
+                if binomial_mismatches(alphas, x):
+                    mismatched.append(("binomial", repr(x)))
+    assert mismatched == []
+    # both outcomes of the attempt, and denominators d > 1, were exercised
+    assert None in forms
+    assert sum(form[1] > 1 for form in forms if form) > 100
+
+
+def test_small_rational_checks_every_digit():
+    # 3/5 at p 7 to 40 digits, then with digit 39 moved: modulo p^k, the
+    # least power above 2 bound^2, both are 3/5, and only the check against
+    # all r digits tells them apart
+    ctx = PrimeContext(7, 40)
+    x = from_rational(3, 5, ctx)
+    assert analytic._small_rational(x, 100) == (3, 5)
+    assert analytic._small_rational(_top_digit_changed(x), 100) is None
+    assert analytic._small_rational(_top_digit_changed(x).truncate(39), 100) == (3, 5)
+    # a bound too small for the pair, and the default bound on alpha
+    assert analytic._small_rational(x, 5) is None
+    big = from_rational(-(1 << 20), 3, ctx)
+    assert analytic._small_rational(big) is None
+    assert analytic._small_rational(big, 1 << 21) == (-(1 << 20), 3)
+
+
+def test_rational_form_is_tried_only_on_wide_sums(monkeypatch):
+    # the width rule: at prec 32 no planned sum attempts the form, not even
+    # on a small rational; at p 7, prec 512 x = 21/5 reaches it and an
+    # N-digit random x does not
+    forms = _record_forms(monkeypatch)
+    rng = random.Random(20)
+    for p, N in ((7, 32), (3, 32), (7, 512)):
+        ctx = PrimeContext(p, N)
+        half = from_rational(1, 2, ctx)
+        small, rand = from_rational(21, 5, ctx), checks._rand_padic(rng, ctx, 1, 3)
+        for x, want in ((small, ((21, 0), 5)), (rand, None)):
+            del forms[:]
+            for fn in ("exp", "sin", "log"):
+                assert outcome(getattr(analytic, fn), x) == outcome(reference.FUNCTIONS[fn], x)
+            assert binomial_mismatches([half], x) == []
+            assert forms == ([] if N == 32 else [want] * 4)
