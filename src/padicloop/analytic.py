@@ -25,8 +25,11 @@ floor(log_p n) (log) together with the carrier's m at that point.  The sum's
 m is then frozen, and the stop index is the first n whose tail bound above
 reaches it.  The value is then summed modulo p^(m + g), with g the valuation
 of a common denominator: n! for exp, sin and cos, lcm(1..n) for log, b^n n!
-for binomial with alpha = a/b.  Rectangular splitting (Paterson-Stockmeyer,
-and Smith for hypergeometric series) computes the powers x^1..x^s with
+for binomial with alpha = a/b.  arctan and arcsin keep log's plan, then sum
+their own series in x^2 (see _odd_value): arctan's over lcm(1, 3, ..., n),
+arcsin's hypergeometric one over n!.  Rectangular splitting
+(Paterson-Stockmeyer, and Smith for hypergeometric series) computes the
+powers x^1..x^s with
 s ~ sqrt(n), sums blocks of s terms with small-integer coefficients, and joins
 the blocks by Horner's rule in x^s, so about 2 sqrt(n) full-width products
 replace n of them.  Where p^(m + g) is wide, x is first written part by part
@@ -36,8 +39,10 @@ powers Z^i d^(s-1-i) are exact small integers, Horner's rule multiplies by
 Z^s, each block weight carries the d^s that step leaves out, so every product
 is big times small, and the denominator gains a power of d.  Otherwise it is
 taken at x's raw integers (a Gaussian-integer pair for Q_p(i)), the case
-d = 1.  A single inverse of the denominator's unit ends it.  Both are lifts
-of x modulo its precision, so they give the same digits (see _planned_sum).
+d = 1.  A single inverse of the denominator's unit ends it, by Newton
+lifting (PrimeContext.inv_lift), since that unit is a wide factorial- or
+lcm-type product.  Both are lifts of x modulo its precision, so they give
+the same digits (see _planned_sum).
 A series that stops before the plan is proven simply finishes on the object
 recurrence, so every digit and every O-term is the recurrence's own.
 
@@ -194,16 +199,17 @@ def _raw(x, P):
 
 
 def _rect(z, d, blocks, P):
-    """d^k times the sum over the J blocks j of y^j * w_j * sum_i c_ji
-    (z/d)^i mod P, y = (z/d)^s, k = s J - 1, as (that sum, k).
+    """d^k times the sum over the J blocks j of y^j * r_0...r_(j-1) * w_j *
+    sum_i c_ji (z/d)^i mod P, y = (z/d)^s, k = s J - 1, as (that sum, k).
 
     Rectangular splitting: the homogenized powers z^i d^(s-1-i), i < s,
     once, each block as small integers times those powers, then Horner's
-    rule in z^s; the d^s that each Horner step leaves out is in the weights.
-    `blocks` holds (w_j, [c_j0, c_j1, ...]) from the last block to the first,
-    w_j carrying d^s once for each later block; every block but the last has
-    s coefficients.  For small z and d the powers are small integers and
-    every product is big times small; d = 1 scales nothing."""
+    rule in z^s, each step also times the small r_j; the d^s that each step
+    leaves out is in the weights.  `blocks` holds (w_j, [c_j0, c_j1, ...],
+    r_j) from the last block to the first, w_j carrying d^s once for each
+    later block; every block but the last has s coefficients.  For small z
+    and d the powers are small integers and every product is big times
+    small; d = 1 scales nothing."""
     s = len(blocks[-1][1])
     re, im = [1, z[0]], [0, z[1]]
     while len(re) <= s:
@@ -216,8 +222,8 @@ def _rect(z, d, blocks, P):
         re, im = list(map(mul, re, scale)), list(map(mul, im, scale))
     real = not any(im)
     acc = (0, 0)
-    for w, coeffs in blocks:
-        a, b = _gmul(acc, y, P)
+    for w, coeffs, r in blocks:
+        a, b = _gmul(acc, (y[0] * r, y[1] * r), P)
         acc = (
             (a + w * sum(map(mul, coeffs, re))) % P,
             b if real else (b + w * sum(map(mul, coeffs, im))) % P,
@@ -234,42 +240,34 @@ def _hyper_blocks(qs, d, P, ps=None):
     """Blocks of T = sum_{k<=K} z^k ps[0]...ps[k-1] qs[k]...qs[K-1] for the
     K small integers qs and ps (all 1 if ps is None), so that
     sum_{k<=K} z^k prod_{i<k} ps[i]/qs[i] = T / (qs[0]...qs[K-1]), with the
-    weights _rect takes at z / d."""
+    weights _rect takes at z / d: the ps of a block are in its coefficients
+    and, as r, in the Horner step that carries the later blocks past it."""
     K = len(qs)
     s = _block_size(K)
     D = d**s
-    starts = range(0, K + 1, s)
     blocks, w = [], 1
-    for start in reversed(starts):
+    for start in reversed(range(0, K + 1, s)):
         coeffs = list(accumulate(reversed(qs[start:start + s]), mul))[::-1]
         if start + s > K:
             coeffs.append(1)
-        blocks.append((w, coeffs))
-        w = w * (coeffs[0] * D) % P
-    if ps is None:
-        return blocks
-    # each block also takes the ps before its terms: those of earlier blocks
-    # in its weight, its own in its coefficients
-    out, u = [], 1
-    for (w, coeffs), start in zip(reversed(blocks), starts):
-        head = list(accumulate(ps[start:start + s], mul, initial=1))
-        out.append((u * w % P, list(map(mul, head, coeffs))))
-        u = u * head[-1] % P
-    return out[::-1]
-
-
-def _log_blocks(L, K, d, P):
-    """Blocks of T = sum_{k<=K} z^k L/(k+1), L = lcm(1..K+1), with the
-    weights _rect takes at z / d."""
-    s = _block_size(K)
-    D = d**s
-    blocks, Dj = [], 1
-    for start in reversed(range(0, K + 1, s)):
-        ks = range(start + 1, min(start + s, K + 1) + 1)
-        M = lcm(*ks)
-        blocks.append((L // M * Dj % P, [M // k for k in ks]))
-        Dj = Dj * D % P
+        w_next, head = w * (coeffs[0] * D) % P, [1]
+        if ps is not None:
+            head = list(accumulate(ps[start:start + s], mul, initial=1))
+            coeffs = list(map(mul, head, coeffs))
+        blocks.append((w, coeffs, head[-1]))
+        w = w_next
     return blocks
+
+
+def _log_blocks(dens):
+    """(L, blocks) for T = sum_k z^k L / dens[k], L = lcm(dens), the lcm of
+    the block lcms M: from the last block to the first, (L / M, [M / q for q
+    in the block]), the weights _rect takes at z / 1."""
+    s = _block_size(len(dens) - 1)
+    groups = [dens[i:i + s] for i in range(0, len(dens), s)][::-1]
+    lcms = [lcm(*group) for group in groups]
+    L = lcm(*lcms)
+    return L, [(L // M, [M // q for q in g]) for M, g in zip(lcms, groups)]
 
 
 def _block_size(K):
@@ -326,7 +324,7 @@ def _planned_sum(x, t, ms, den, g, degree, numerator):
     form = bits >= _RATIONAL_BITS and _rational_form(x, 1 << bits // (2 * degree))
     Z, d = form or (_raw(x, P), 1)
     T, k = numerator(Z, d, P)
-    inv = ctx.inv_mod(den // pg * pow(d, k, pt) % pt, top)
+    inv = ctx.inv_lift(den // pg * pow(d, k, pt) % pt, top)
     comps = [
         PadicNumber.exact_zero(ctx, t) if m is None
         else PadicNumber.make(ctx, 0, c // pg * inv, m)
@@ -335,9 +333,10 @@ def _planned_sum(x, t, ms, den, g, degree, numerator):
     return QpiElement(*comps) if isinstance(x, QpiElement) else comps[0]
 
 
-def _factorial_value(x, s, e, sign, stop, t, ms):
-    """sum_k (sign x^s)^k x^e / (s k + e)! up to s k + e = stop, whose k-th
-    coefficient ratio is (s k + e + 1) ... (s k + e + s)."""
+def _factorial_value(x, s, e, sign, stop, t, ms, ps=None, turn=(1, 0)):
+    """turn * sum_k (sign x^s)^k x^e c_k / (s k + e)! up to s k + e = stop,
+    c_0 = 1 and c_k+1 / c_k = ps[k] (1 if ps is None), over the denominator
+    stop!, whose k-th block ratio is (s k + e + 1) ... (s k + e + s)."""
     qs = range(e + 1, stop + 1, s)
     for j in range(2, s + 1):
         qs = list(map(mul, qs, range(e + j, stop + 1, s)))
@@ -347,8 +346,8 @@ def _factorial_value(x, s, e, sign, stop, t, ms):
         if sign < 0:
             z = (-z[0], -z[1])
         ds = d**s
-        T, k = _rect(z, ds, _hyper_blocks(qs, ds, P), P)
-        return _times_x(T, s * k, Z, P) if e else (T, s * k)
+        T, k = _rect(z, ds, _hyper_blocks(qs, ds, P, ps), P)
+        return _times_x(T, s * k, gaussian_product(Z, turn), P) if e else (T, s * k)
 
     return _planned_sum(
         x, t, ms, factorial(stop), _vp_factorial(stop, x.ctx.p),
@@ -356,17 +355,25 @@ def _factorial_value(x, s, e, sign, stop, t, ms):
     )
 
 
-def _log_value(x, stop, t, ms):
-    """x * sum_{k<stop} (-x)^k / (k + 1), over the denominator
-    lcm(1..stop), whose valuation grows like log stop, not like stop."""
-    L = lcm(*range(1, stop + 1))
+def _log_value(x, stop, t, ms, e=1, turn=(1, 0)):
+    """turn * x * sum_k (-x^e)^k / (e k + 1) up to e k + 1 = stop, over
+    lcm(1, 1 + e, ..., stop), whose valuation grows like log stop, not like
+    stop: log is e = 1, arctan's own series e = 2."""
+    L, blocks = _log_blocks(range(1, stop + 1, e))
+    s = len(blocks[-1][1])
 
     def numerator(Z, d, P):
-        T, k = _rect((-Z[0], -Z[1]), d, _log_blocks(L, stop - 1, d, P), P)
-        return _times_x(T, k, Z, P)
+        z = Z if e == 1 else [_fold(c, P) for c in gaussian_product(Z, Z)]
+        de = d**e
+        D, Dj, scaled = de**s, 1, []
+        for w, coeffs in blocks:
+            scaled.append((w * Dj % P, coeffs, 1))
+            Dj = Dj * D % P
+        T, k = _rect((-z[0], -z[1]), de, scaled, P)
+        return _times_x(T, e * k, gaussian_product(Z, turn), P)
 
     return _planned_sum(
-        x, t, ms, L, _ilog(stop, x.ctx.p), _block_size(stop - 1), numerator
+        x, t, ms, L, _ilog(stop, x.ctx.p), e * s, numerator
     )
 
 
@@ -397,7 +404,7 @@ def _small_rational(alpha, bound=_SMALL):
     below bound or at the first cofactor that reaches it.  Such a pair is
     unique modulo p^k once p^k > 2 bound^2, so k is the least such exponent,
     or r, and one product checks the pair against all r digits."""
-    if alpha.is_zero:
+    if alpha.is_zero or alpha.v < 0:
         return None
     ctx = alpha.ctx
     pk = ctx.pow(min(alpha.r, _ilog(2 * bound * bound, ctx.p) + 1))
@@ -453,6 +460,12 @@ def exp(x):
 
 def log(y):
     """log on 1 + LOG_DISK: y = 1 + x with |x|_p < 1."""
+    return _log(y)
+
+
+def _log(y, own=None):
+    """log(y) on the object recurrence until its plan is proven, then by
+    _log_value, or by own(t, ms) with the plan's t and m."""
     x = y - _one_like(y)
     _require(x, "log", "LOG_DISK")
     p = x.ctx.p
@@ -474,7 +487,7 @@ def log(y):
             return total.truncate(tail(n))
         plan = _plan(total, xn, n, 1, tail, _ilog(n + 1, p) - 1)
         if plan:
-            return _log_value(x, *plan)
+            return own(*plan[1:]) if own else _log_value(x, *plan)
     raise PadicError("log series failed to terminate")
 
 
@@ -500,6 +513,34 @@ def tan(x):
     return sin_cos_tan(x)[2]
 
 
+def _odd_value(x, t, ms, arcsin):
+    """i arcsin x or 2i arctan x from its own series at x, normalized at the
+    planned m of the log it replaces (ms, and t for an exact zero): sum_k
+    C(2k, k) x^(2k+1) / (4^k (2k + 1)), hypergeometric in x^2 with ratio
+    (2k + 1)^2 / ((2k + 2)(2k + 3)), or sum_k (-x^2)^k x / (2k + 1).  Term n
+    has valuation at least (2n + 1) v(x) - floor(log_p(2n + 1)), which grows
+    with n, so the sum stops after the first K whose bound at K + 1 reaches
+    every m.
+
+    Why the digits are log's: the lift X of x that _planned_sum sums at (Z / d
+    or x's representative) agrees with x modulo each component's m and is 0
+    at its zeros.  The kernel's m rules hold under any change of an input
+    below its m, so y(X), (1 + iX) / (1 - iX) or iX + sqrt(1 - X^2) with the
+    binomial series' root, lifts log's argument y.  By _planned_sum's
+    argument log's planned sum agrees with its sum at y(X) modulo each
+    planned m, and that sum, with tail at least t >= m, with log(y(X)) = 2i
+    arctan(X) or i arcsin(X), which the own series at X matches modulo
+    p^(max m) by the bound above."""
+    p, v = x.ctx.p, x.valuation_lower_bound
+    top = max(m for m in ms if m is not None)
+    K = _first_reaching(lambda n: (2 * n + 3) * v - _ilog(2 * n + 3, p), -1, 1, top)
+    stop = 2 * K + 1
+    if arcsin:
+        ps = [k * k for k in range(1, stop, 2)]
+        return _factorial_value(x, 2, 1, 1, stop, t, ms, ps, (0, 1))
+    return _log_value(x, stop, t, ms, 2, (0, 2))
+
+
 def _as_qpi(x):
     if isinstance(x, QpiElement):
         return x
@@ -521,7 +562,7 @@ def arctan(x):
     i = QpiElement.i_unit(x.ctx)
     ix = i * x
     q = (1 + ix) / (1 - ix)
-    result = (log(q) * (-i)).div_int(2)
+    result = (_log(q, lambda t, ms: _odd_value(x, t, ms, False)) * (-i)).div_int(2)
     return _real_in_real_out(result, was_real)
 
 
@@ -535,7 +576,7 @@ def arcsin(x):
     i = QpiElement.i_unit(ctx)
     half = from_rational(1, 2, ctx)
     root = binomial_series(half, -(x * x))
-    result = log(i * x + root) * (-i)
+    result = _log(i * x + root, lambda t, ms: _odd_value(x, t, ms, True)) * (-i)
     return _real_in_real_out(result, was_real)
 
 

@@ -78,6 +78,18 @@ MUTANTS = {
     "rational-form-den-power": (
         "analytic.py", "return _gmul(T, Z, P), k + 1", "return _gmul(T, Z, P), k", SERIES,
     ),
+    "own-series-stop-minus-1": (
+        "analytic.py", "stop = 2 * K + 1", "stop = 2 * K - 1", SERIES,
+    ),
+    "arctan-turn-sign": (
+        "analytic.py", "(0, 2)", "(0, -2)", SERIES,
+    ),
+    "newton-lifts-half": (
+        "context.py",
+        "pj = self.pow(j)\n",
+        "pj = self.pow((j + 1) // 2)\n",
+        ("tests/test_padic.py",) + SERIES,
+    ),
     "div-int-cap-plus-1": (
         "padic.py",
         "r = min(self.r, ctx.precision)\n",

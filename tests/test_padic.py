@@ -2,6 +2,7 @@
 
 import operator
 import random
+from math import factorial
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,35 @@ class TestContext:
         for n in (3215031751, 341550071728321, 3825123056546413051,
                   318665857834031151167461):
             assert not is_prime(n)
+
+    @pytest.mark.parametrize("p", [3, 7, 10007, 3317044064679887385961783])
+    def test_inv_lift_is_the_inverse(self, p):
+        # a random unit, a factorial with p removed (the series engine's
+        # denominator) and a small rational's unit, at the base case's edge
+        # and around powers of two, where the lifting chain changes length;
+        # k = 2049 and 8192 at the largest p are 170,000- and 670,000-bit
+        # moduli, seconds per unit, so that p stops at k = 1025
+        rng = random.Random(p)
+        ctx = PrimeContext(p, 4096)
+        ks = {1, 7, 8, 9, 15, 16, 17, 31, 32, 33}
+        ks |= {2**j + e for j in range(6, 12 if p < 10**6 else 11) for e in (-1, 1)}
+        if p < 10**6:
+            ks.add(8192)
+        a, b = (12345, 678) if p != 3 else (12347, 679)
+        for k in sorted(ks):
+            pk = ctx.pow(k)
+            n = 2 * k + 5
+            fact = factorial(n) // p ** sum(n // p**i for i in range(1, n.bit_length()))
+            random_unit = rng.randrange(pk // p) * p + rng.randrange(1, p)
+            for u in (random_unit, fact % pk, a * pow(b, -1, pk) % pk):
+                x = ctx.inv_lift(u, k)
+                if pk.bit_length() <= 30000:
+                    assert x == pow(u, -1, pk)
+                else:
+                    # pow takes seconds here; the inverse modulo p^k is the
+                    # unique x in [0, p^k) with u x = 1 there, so this is the
+                    # same comparison
+                    assert 0 <= x < pk and u * x % pk == 1
 
     def test_no_answer_beyond_the_proven_bound(self):
         # MAX_PRIME itself is a strong pseudoprime to all 13 bases

@@ -13,7 +13,8 @@ depths; the other grid points run about half of them, so that tier-1 stays
 within a few seconds.  A seeded batch of random inputs at N <= 64 then
 reaches the edges of the precision plan.  Last, the value step is forced onto
 x's small rational form Z / d at every width, and the width rule that keeps
-narrow sums off it is pinned.
+narrow sums off it is pinned, as are arctan's and arcsin's own-series value
+step and the engine's Newton inverse.
 """
 
 import random
@@ -398,3 +399,84 @@ def test_rational_form_is_tried_only_on_wide_sums(monkeypatch):
                 assert outcome(getattr(analytic, fn), x) == outcome(reference.FUNCTIONS[fn], x)
             assert binomial_mismatches([half], x) == []
             assert forms == ([] if N == 32 else [want] * 4)
+
+
+def test_small_rational_of_negative_valuation_is_none():
+    # no a/b with b prime to p has valuation below 0
+    ctx = PrimeContext(7, 40)
+    assert analytic._small_rational(from_rational(-5, 21, ctx)) is None
+    assert analytic._small_rational(from_rational(-5, 21 * 49, ctx), 1 << 60) is None
+    assert analytic._small_rational(from_rational(-5, 3, ctx)) == (-5, 3)
+
+
+def _count_inverses(monkeypatch):
+    """Calls of PrimeContext.inv_mod (Euclid) and inv_lift (Newton) from now
+    on, by name."""
+    calls = {"inv_mod": 0, "inv_lift": 0}
+    for name in calls:
+        method = getattr(PrimeContext, name)
+
+        def counted(ctx, u, k, name=name, method=method):
+            calls[name] += 1
+            return method(ctx, u, k)
+
+        monkeypatch.setattr(PrimeContext, name, counted)
+    return calls
+
+
+def test_engine_inverts_by_lifting_and_division_by_euclid(monkeypatch):
+    # each planned sum ends with one Newton inverse of its factorial- or
+    # lcm-type unit; Q_p(i) division (tan's s / c, arctan's (1 + ix) /
+    # (1 - ix)) keeps inv_mod, which is faster on a small rational's unit
+    ctx = PrimeContext(7, 64)
+    x = QpiElement(from_rational(21, 5, ctx), from_rational(-14, 3, ctx))
+    calls = _count_inverses(monkeypatch)
+    want = {
+        "exp": (0, 1), "sin": (0, 1), "cos": (0, 1), "tan": (1, 2), "log": (0, 1),
+        "arctan": (1, 1), "arcsin": (0, 2),
+    }
+    for fn, (euclid, newton) in want.items():
+        want_outcome = outcome(reference.FUNCTIONS[fn], x)
+        calls.update(inv_mod=0, inv_lift=0)
+        assert outcome(getattr(analytic, fn), x) == want_outcome
+        assert (fn, calls["inv_mod"], calls["inv_lift"]) == (fn, euclid, newton)
+    calls.update(inv_mod=0, inv_lift=0)
+    analytic.binomial_series(from_rational(1, 2, ctx), x)
+    x / (x + from_rational(1, 1, ctx))
+    assert calls == {"inv_mod": 1, "inv_lift": 1}
+
+
+def own_series_inputs():
+    """rational_form_inputs on p 3, 7, 11, 19 and 10007 at N 1-100, then
+    seeded random inputs: real and Gaussian, truncated, with exact- and
+    inexact-zero parts."""
+    for p in (3, 7, 11, 19, 10007):
+        for N in (1, 2, 5, 17, 40, 100):
+            yield from rational_form_inputs(PrimeContext(p, N))
+    yield from random_inputs(200, seed=22)
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["width-rule", "forced-form"])
+def test_arctan_and_arcsin_own_series_match_reference(forced, monkeypatch):
+    # log's plan fixes the stop and every m; the value is then arctan's or
+    # arcsin's own series at x (analytic._odd_value), which must give the
+    # composed reference's every field, with the width rule as it is and
+    # with every planned sum on x's small rational form
+    if forced:
+        monkeypatch.setattr(analytic, "_RATIONAL_BITS", 0)
+    forms = _record_forms(monkeypatch)
+    own = []
+    odd_value = analytic._odd_value
+    monkeypatch.setattr(
+        analytic, "_odd_value", lambda *args: own.append(args[3]) or odd_value(*args)
+    )
+    mismatched = []
+    for x in own_series_inputs():
+        for fn in ("arctan", "arcsin"):
+            got = outcome(getattr(analytic, fn), x)
+            if mismatched_fields(got, outcome(reference.FUNCTIONS[fn], x)):
+                mismatched.append((fn, repr(x)))
+    assert mismatched == []
+    assert own.count(False) > 150 and own.count(True) > 150
+    if forced:
+        assert sum(form[1] > 1 for form in forms if form) > 100
