@@ -9,7 +9,6 @@ from .errors import (
     IsotropicAxis,
     NearPole,
     NonSquare,
-    NotPauliShape,
     OutsideDisk,
     PadicError,
     ParseError,
@@ -45,7 +44,6 @@ __all__ = [
     "ParseError",
     "DomainError",
     "WrongPrimeClass",
-    "NotPauliShape",
     "IsotropicAxis",
     "PoleHit",
     "OutsideDisk",

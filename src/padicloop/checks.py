@@ -493,14 +493,14 @@ def run_clifford(p, prec, seed, samples):
     def chart(rng):
         xi = _rand_disk(rng, ctx).value
         P = lift(xi)
-        ok = stereo(P, "cup").eq_to(xi)
-        ok = ok and lift(stereo(P, "cup")).vec.eq_to(P.vec)
+        ok = stereo(P).eq_to(xi)
+        ok = ok and lift(stereo(P)).vec.eq_to(P.vec)
         return ok, lambda: f"xi={format_qpi(xi)}"
 
     def polar(rng):
         theta = _rand_padic(rng, ctx, 1, 3)
         phi = _rand_padic(rng, ctx, 1, 3)
-        psi = stereo(polar_point(theta, phi), "cup")
+        psi = stereo(polar_point(theta, phi))
         _s, _c, t = sin_cos_tan(theta)
         ok = psi.eq_to(exp(i_unit * phi) * t) and psi.valuation == theta.valuation
         return ok, _padic_witness(theta=theta, phi=phi)
@@ -511,7 +511,7 @@ def run_clifford(p, prec, seed, samples):
         R = rotation_compose(exp_vertical(a), exp_horizontal(beta))
         xi = _rand_disk(rng, ctx).value
         P = lift(xi)
-        lhs = stereo(rotation_act(R, P), "cup")
+        lhs = stereo(rotation_act(R, P))
         rhs = mobius_action(R, xi)
         return (
             lhs.eq_to(rhs),

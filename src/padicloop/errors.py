@@ -37,10 +37,6 @@ class WrongPrimeClass(PadicError):
     """Operation needs p = 3 (mod 4) so that Q_p(i) is a field."""
 
 
-class NotPauliShape(PadicError):
-    pass
-
-
 class IsotropicAxis(PadicError):
     """Reflection axis with q(u) = 0 (to working precision)."""
 

@@ -43,10 +43,6 @@ class DiskPoint:
     def ctx(self):
         return self.value.ctx
 
-    @property
-    def is_zero(self):
-        return self.value.is_zero
-
     def __neg__(self):
         return DiskPoint(-self.value)
 
@@ -138,8 +134,8 @@ def deviation_apply(d, x):
 
 def sphere_loop_add(A, B):
     """Loop composition carried to the cup through the stereographic chart."""
-    xa = DiskPoint(stereo(A, "cup"))
-    xb = DiskPoint(stereo(B, "cup"))
+    xa = DiskPoint(stereo(A))
+    xb = DiskPoint(stereo(B))
     return lift(loop_add(xa, xb).value)
 
 

@@ -215,44 +215,6 @@ def series_partial_sum(series_id, x, terms, alpha=None):
     return GaussianRational(Fraction(ar, den), Fraction(ai, den))
 
 
-# ---- 2x2 Gaussian-rational matrices (for exp_horizontal and exp_vertical) ----
-
-def gmat(a, b, c, d):
-    return (_gq(a), _gq(b), _gq(c), _gq(d))
-
-
-def gmat_identity():
-    return gmat(1, 0, 0, 1)
-
-
-def gmat_add(x, y):
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def gmat_mul(x, y):
-    return (
-        x[0] * y[0] + x[1] * y[2],
-        x[0] * y[1] + x[1] * y[3],
-        x[2] * y[0] + x[3] * y[2],
-        x[2] * y[1] + x[3] * y[3],
-    )
-
-
-def gmat_scale(x, s):
-    return tuple(a * s for a in x)
-
-
-def gmat_exp_partial(x, terms):
-    """Partial sum of the matrix exponential series, exactly."""
-    total = gmat(0, 0, 0, 0)
-    t = gmat_identity()
-    for n in range(terms):
-        if n:
-            t = gmat_scale(gmat_mul(t, x), Fraction(1, n))
-        total = gmat_add(total, t)
-    return total
-
-
 def complex_float_loop(a, b):
     """The Archimedean disk loop (a + b) / (-conj(a)*b + 1) in doubles."""
     a, b = complex(a), complex(b)

@@ -84,15 +84,6 @@ class PadicNumber:
         """A zero of this one's kind (exact or inexact) modulo p^m."""
         return PadicNumber(self.ctx, self.kind, None, 0, 0, m)
 
-    @staticmethod
-    def from_digits(ctx, v, digits, m=None):
-        u = 0
-        for d in reversed(digits):
-            u = u * ctx.p + d
-        if m is None:
-            m = v + len(digits)
-        return PadicNumber.make(ctx, v, u, m)
-
     # ---- predicates and views ----
 
     @property
@@ -128,12 +119,6 @@ class PadicNumber:
         if self.kind == _EXACT_ZERO:
             return INFINITE
         return self.m
-
-    @property
-    def leading_digit(self):
-        if self.kind != _NONZERO:
-            return 0
-        return self.unit % self.ctx.p
 
     def unit_digits(self):
         """The r tracked digits of the unit part, lowest power first."""

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matrix_reference import gmat, gmat_exp_partial
+from padic_digits import from_digits
 from padicloop import INFINITE, PadicNumber, PrimeContext, clifford, from_int, from_rational, sqrt
 from padicloop.analytic import (
     _require,
@@ -30,8 +32,6 @@ from padicloop.clifford import (
 from padicloop.errors import DomainError, NonSquare
 from padicloop.oracles import (
     GaussianRational,
-    gmat,
-    gmat_exp_partial,
     rational_to_padic_digits,
     rational_valuation,
     series_partial_sum,
@@ -41,6 +41,7 @@ from padicloop.qpi import QpiElement
 C7 = PrimeContext(7, 24)
 C3 = PrimeContext(3, 24)
 C11 = PrimeContext(11, 20)
+IDENTITY = ProjectiveRotation(QpiElement.one(C7), QpiElement.zero(C7))
 
 
 def sample_disk(rng, ctx, vmin=1, vmax=3):
@@ -141,8 +142,8 @@ class TestExp:
     def test_exp_additivity(self, v, ds, w, es):
         ds[0] = ds[0] or 1
         es[0] = es[0] or 1
-        x = PadicNumber.from_digits(C7, v, ds, m=v + C7.precision)
-        y = PadicNumber.from_digits(C7, w, es, m=w + C7.precision)
+        x = from_digits(C7, v, ds, m=v + C7.precision)
+        y = from_digits(C7, w, es, m=w + C7.precision)
         assert exp(x + y).eq_to(exp(x) * exp(y))
 
     def test_exp_on_extension(self):
@@ -247,8 +248,8 @@ class TestTrig:
     def test_sin_is_an_isometry(self, v, ds, w, es):
         ds[0] = ds[0] or 1
         es[0] = es[0] or 1
-        x = PadicNumber.from_digits(C7, v, ds, m=v + C7.precision)
-        y = PadicNumber.from_digits(C7, w, es, m=w + C7.precision)
+        x = from_digits(C7, v, ds, m=v + C7.precision)
+        y = from_digits(C7, w, es, m=w + C7.precision)
         d = x - y
         if d.is_zero:
             return
@@ -346,7 +347,7 @@ class TestBinomial:
         x = from_int(7, C7)
         r = binomial_series(from_rational(1, 2, C7), x)
         assert (r * r).eq_to(from_int(8, C7))
-        assert r.leading_digit == 1  # canonical branch: sqrt(1+x) = 1 + ...
+        assert r.unit % 7 == 1  # canonical branch: sqrt(1+x) = 1 + ...
 
     def test_matches_oracle_partial_sums(self):
         got = binomial_series(from_rational(1, 2, C7), from_int(7, C7))
@@ -371,10 +372,9 @@ class TestGeneratorExp:
     form; the exact partial sums of the matrix series check them."""
 
     def test_zero_matrix(self):
-        identity = ProjectiveRotation.identity(C7)
         z, z5 = PadicNumber.exact_zero(C7), PadicNumber.zero_mod(C7, 5)
         for beta in (QpiElement(z, z), QpiElement(z5, z5), QpiElement(z, z5)):
-            assert exp_horizontal(beta).eq_to(identity)
+            assert exp_horizontal(beta).eq_to(IDENTITY)
 
     def test_diagonal_case_reduces_to_scalars(self):
         R = exp_vertical(from_int(7, C7))
@@ -395,7 +395,7 @@ class TestGeneratorExp:
         for _ in range(8):
             beta = sample_disk_qpi(rng, C7)
             R = rotation_compose(exp_horizontal(beta), exp_horizontal(-beta))
-            assert R.eq_to(ProjectiveRotation.identity(C7))
+            assert R.eq_to(IDENTITY)
 
 
 class TestOracleAgreementBulk:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from padic_digits import from_digits
 from padicloop import checks
 from padicloop.checks import (
     EXTENSION_SUITES,
@@ -61,7 +62,7 @@ def test_float_checks_standalone():
 
 def narrow_unit(ctx, r):
     # a unit tracked to only r digits
-    return QpiElement(PadicNumber.from_digits(ctx, 0, [1] * r, m=r))
+    return QpiElement(from_digits(ctx, 0, [1] * r, m=r))
 
 
 class TestTallySemantics:
@@ -207,7 +208,7 @@ def reference_rand_padic(rng, ctx, vmin, vmax):
     v = rng.randint(vmin, vmax)
     digits = [rng.randint(1, ctx.p - 1)]
     digits += [rng.randint(0, ctx.p - 1) for _ in range(ctx.precision - 1)]
-    return PadicNumber.from_digits(ctx, v, digits, m=v + ctx.precision)
+    return from_digits(ctx, v, digits, m=v + ctx.precision)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10007, 2**31 + 1])

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from matrix_reference import gmat, gmat_mul
 from padicloop import PadicNumber, PrimeContext, from_int, from_rational
 from padicloop.analytic import exp, tan
 from padicloop.checks import _rand_padic
@@ -14,7 +15,6 @@ from padicloop.clifford import (
     exp_horizontal,
     exp_vertical,
     iota,
-    iota_inv,
     lift,
     mobius_action,
     polar_point,
@@ -28,16 +28,16 @@ from padicloop.clifford import (
 from padicloop.errors import (
     DomainError,
     IsotropicAxis,
-    NotPauliShape,
     OutsideDisk,
     PoleHit,
 )
 from padicloop.matrix import Mat2
-from padicloop.oracles import GaussianRational, gmat, gmat_mul
+from padicloop.oracles import GaussianRational
 from padicloop.qpi import QpiElement
 
 C7 = PrimeContext(7, 24)
 C11 = PrimeContext(11, 20)
+IDENTITY = ProjectiveRotation(QpiElement.one(C7), QpiElement.zero(C7))
 
 
 def rand_padic(rng, ctx, vmin=0, vmax=2):
@@ -58,6 +58,17 @@ def rand_axis(rng, ctx):
 
 def rand_disk_qpi(rng, ctx, vmin=1, vmax=3):
     return QpiElement(rand_padic(rng, ctx, vmin, vmax), rand_padic(rng, ctx, vmin, vmax))
+
+
+def north_chart(P):
+    """(a + ib)/(1 + c) on the sphere off c = -1: the cup chart's formula
+    without the cup bound, so that it also reads the points a rotation moves
+    out of the cup."""
+    vec = P.vec
+    den = from_int(1, vec.ctx) + vec.c
+    if den.is_zero:
+        raise PoleHit("chart undefined at c = -1")
+    return QpiElement(vec.a, vec.b) / den
 
 
 def basis(ctx):
@@ -144,25 +155,11 @@ class TestIota:
         rng = random.Random(2003)
         for _ in range(20):
             v = rand_vector(rng, C7)
-            assert iota_inv(iota(v)).eq_to(v)
-
-    def test_iota_inv_rejects_nonzero_trace(self):
-        one = QpiElement.one(C7)
-        z = QpiElement.zero(C7)
-        with pytest.raises(NotPauliShape):
-            iota_inv(Mat2(one, z, z, one))
-
-    def test_iota_inv_rejects_complex_diagonal(self):
-        i = QpiElement.i_unit(C7)
-        z = QpiElement.zero(C7)
-        with pytest.raises(NotPauliShape):
-            iota_inv(Mat2(i, z, z, -i))
-
-    def test_iota_inv_rejects_unbalanced_corners(self):
-        one = QpiElement.one(C7)
-        i = QpiElement.i_unit(C7)
-        with pytest.raises(NotPauliShape):
-            iota_inv(Mat2(one, i, i, -one))
+            M = iota(v)
+            # Pauli shape: real diagonal, zero trace, conjugate corners
+            assert M.m11.im.is_zero and (M.m22 + M.m11).is_zero
+            assert (M.m21 - M.m12.conj()).is_zero
+            assert Vector3(M.m12.re, M.m12.im, M.m11.re).eq_to(v)
 
     def test_clifford_anticommutator(self):
         rng = random.Random(2004)
@@ -193,7 +190,7 @@ class TestReflect:
         rng = random.Random(2010)
         for _ in range(10):
             u = rand_axis(rng, C7)
-            assert reflect(u, u).eq_to(-u)
+            assert reflect(u, u).eq_to(u.scale(from_int(-1, C7)))
 
     def test_coordinate_hyperplane(self):
         rng = random.Random(2011)
@@ -236,7 +233,7 @@ class TestReflect:
 class TestSpherePoints:
     def test_sigma_z_is_cup_point(self):
         P = sigma_z(C7)
-        assert stereo(P, "cup").is_zero
+        assert stereo(P).is_zero
         assert (P.matrix * P.matrix).eq_to(Mat2.identity(C7))
 
     def test_rejects_off_sphere_coordinates(self):
@@ -249,7 +246,7 @@ class TestSpherePoints:
         one = from_int(1, C7)
         # (1, 0, 0) is on the sphere but at distance 1 from the pole
         with pytest.raises(OutsideDisk):
-            stereo(SpherePoint(Vector3(one, z, z)), "cup")
+            stereo(SpherePoint(Vector3(one, z, z)))
 
     def test_lifted_points_square_to_identity(self):
         rng = random.Random(2020)
@@ -257,13 +254,13 @@ class TestSpherePoints:
             xi = rand_disk_qpi(rng, C7)
             P = lift(xi)
             assert (P.matrix * P.matrix).eq_to(Mat2.identity(C7))
-            assert stereo(P, "cup").eq_to(xi)
+            assert stereo(P).eq_to(xi)
 
 
 class TestRotations:
     def test_identity_action(self):
         rng = random.Random(2030)
-        R = ProjectiveRotation.identity(C7)
+        R = IDENTITY
         for _ in range(5):
             P = lift(rand_disk_qpi(rng, C7))
             assert rotation_act(R, P).eq_to(P)
@@ -365,7 +362,7 @@ class TestRotations:
 class TestMobius:
     def test_identity(self):
         rng = random.Random(2040)
-        R = ProjectiveRotation.identity(C7)
+        R = IDENTITY
         for _ in range(5):
             xi = rand_disk_qpi(rng, C7)
             assert mobius_action(R, xi).eq_to(xi)
@@ -389,7 +386,7 @@ class TestMobius:
 
 class TestCharts:
     def test_pole_to_origin_and_back(self):
-        assert stereo(sigma_z(C7), "cup").is_zero
+        assert stereo(sigma_z(C7)).is_zero
         z = QpiElement.zero(C7)
         assert lift(z).eq_to(sigma_z(C7))
 
@@ -398,13 +395,13 @@ class TestCharts:
         for ctx in (C7, C11):
             for _ in range(10):
                 xi = rand_disk_qpi(rng, ctx)
-                assert stereo(lift(xi), "cup").eq_to(xi)
+                assert stereo(lift(xi)).eq_to(xi)
 
     def test_roundtrip_cup(self):
         rng = random.Random(2051)
         for _ in range(10):
             P = lift(rand_disk_qpi(rng, C7))
-            assert lift(stereo(P, "cup")).eq_to(P)
+            assert lift(stereo(P)).eq_to(P)
 
     def test_lift_distance_matches_disk_radius(self):
         rng = random.Random(2052)
@@ -420,27 +417,14 @@ class TestCharts:
         with pytest.raises(OutsideDisk):
             lift(QpiElement.one(C7))
 
-    def test_south_chart(self):
-        rng = random.Random(2053)
-        one = from_int(1, C7)
-        for _ in range(5):
-            P = lift(rand_disk_qpi(rng, C7))
-            a, b, c = P.vec.a, P.vec.b, P.vec.c
-            got = stereo(P, "south")
-            assert (got * (one - c)).eq_to(QpiElement(a, b))
-
-    def test_south_chart_pole_hit(self):
-        with pytest.raises(PoleHit):
-            stereo(sigma_z(C7), "south")
-
     def test_cup_chart_rejects_far_points(self):
         z = PadicNumber.exact_zero(C7)
         one = from_int(1, C7)
         P = SpherePoint(Vector3(one, z, z))
         with pytest.raises(OutsideDisk):
-            stereo(P, "cup")
-        # but the north chart is defined there
-        assert stereo(P, "north").eq_to(QpiElement.one(C7))
+            stereo(P)
+        # but the chart's formula is defined there
+        assert north_chart(P).eq_to(QpiElement.one(C7))
 
 
 class TestPolar:
@@ -456,14 +440,14 @@ class TestPolar:
             P = polar_point(theta, phi)
             i = QpiElement.i_unit(C7)
             want = exp(i * phi) * tan(theta)
-            assert stereo(P, "cup").eq_to(want)
+            assert stereo(P).eq_to(want)
 
     def test_chart_norm_is_theta_norm(self):
         rng = random.Random(2061)
         for _ in range(8):
             theta = rand_padic(rng, C7, vmin=1, vmax=3)
             phi = rand_padic(rng, C7, vmin=1, vmax=3)
-            assert stereo(polar_point(theta, phi), "cup").valuation == theta.valuation
+            assert stereo(polar_point(theta, phi)).valuation == theta.valuation
 
     def test_squares_to_identity(self):
         rng = random.Random(2062)
@@ -483,8 +467,8 @@ class TestPolar:
 class TestExpSplit:
     def test_zero_gives_identity_class(self):
         z = PadicNumber.exact_zero(C7)
-        assert exp_vertical(z).eq_to(ProjectiveRotation.identity(C7))
-        assert exp_horizontal(QpiElement.zero(C7)).eq_to(ProjectiveRotation.identity(C7))
+        assert exp_vertical(z).eq_to(IDENTITY)
+        assert exp_horizontal(QpiElement.zero(C7)).eq_to(IDENTITY)
 
     def test_vertical_fixes_pole(self):
         rng = random.Random(2070)
@@ -506,7 +490,7 @@ class TestExpSplit:
         for _ in range(8):
             beta = rand_disk_qpi(rng, C7)
             Q = rotation_act(exp_horizontal(beta), sigma_z(C7))
-            assert stereo(Q, "cup").valuation_lower_bound >= 1
+            assert stereo(Q).valuation_lower_bound >= 1
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -526,10 +510,10 @@ class TestEquivariance:
             )
             P = lift(rand_disk_qpi(rng, C7))
             try:
-                want = mobius_action(R, stereo(P, "north"))
+                want = mobius_action(R, north_chart(P))
             except PoleHit:
                 continue
-            got = stereo(rotation_act(R, P), "north")
+            got = north_chart(rotation_act(R, P))
             assert got.eq_to(want)
             checked += 1
         assert checked >= 15
@@ -546,8 +530,8 @@ class TestEquivariance:
                 continue
             P = lift(rand_disk_qpi(rng, C7))
             try:
-                want = mobius_action(R, stereo(P, "north"))
-                got = stereo(rotation_act(R, P), "north")
+                want = mobius_action(R, north_chart(P))
+                got = north_chart(rotation_act(R, P))
             except PoleHit:
                 continue
             assert got.eq_to(want)

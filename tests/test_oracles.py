@@ -6,15 +6,12 @@ from math import comb, factorial
 
 import pytest
 
+from matrix_reference import gmat, gmat_exp_partial, gmat_identity, gmat_mul
 from padicloop.errors import NearPole, ZeroDenominator
 from padicloop.oracles import (
     GaussianRational,
     complex_float_loop,
     gaussian_loop_add,
-    gmat,
-    gmat_exp_partial,
-    gmat_identity,
-    gmat_mul,
     rational_to_padic_digits,
     rational_valuation,
     series_partial_sum,
@@ -214,6 +211,8 @@ def test_partial_sums_match_term_by_term_reference(case, point):
 
 
 class TestMatrixOracle:
+    """The Gaussian-rational 2x2 matrices of tests/matrix_reference.py."""
+
     def test_identity(self):
         x = gmat(0, 0, 0, 0)
         assert gmat_exp_partial(x, 6) == gmat_identity()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padic_digits import from_digits
 from padicloop import (
     DivisionByZero,
     INFINITE,
@@ -150,7 +151,7 @@ class TestFieldOps:
             v = rng.randint(-2, 3)
             ndigits = rng.randint(1, prec + 5)
             digits = [rng.randint(1, p - 1)] + [rng.randint(0, p - 1) for _ in range(ndigits - 1)]
-            return PadicNumber.from_digits(ctx, v, digits, m=v + ndigits)
+            return from_digits(ctx, v, digits, m=v + ndigits)
 
         checked = 0
         for _ in range(400):
@@ -220,7 +221,7 @@ class TestNormAbs:
         for _ in range(200):
             v = rng.randint(-3, 3)
             digits = [rng.randint(1, 6)] + [rng.randint(0, 6) for _ in range(7)]
-            x = PadicNumber.from_digits(C7, v, digits)
+            x = from_digits(C7, v, digits)
             z = QpiElement(x)
             assert z.valuation == x.valuation
 

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from padic_digits import from_digits
 from padicloop.analytic import (
     arcsin,
     arctan,
@@ -45,7 +46,7 @@ def _scalar(rng, ctx, v, ndigits=None):
     ndigits = ctx.precision if ndigits is None else ndigits
     digits = [rng.randint(1, ctx.p - 1)]
     digits += [rng.randint(0, ctx.p - 1) for _ in range(ndigits - 1)]
-    return PadicNumber.from_digits(ctx, v, digits, m=v + ndigits)
+    return from_digits(ctx, v, digits, m=v + ndigits)
 
 
 def inputs(ctx):
