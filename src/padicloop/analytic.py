@@ -27,12 +27,13 @@ reaches it.  The value is then summed modulo p^(m + g), with g the valuation
 of a common denominator: n! for exp, sin and cos, lcm(1..n) for log, b^n n!
 for binomial with alpha = a/b.  arctan and arcsin keep log's plan, then sum
 their own series in x^2 (see _odd_value): arctan's over lcm(1, 3, ..., n),
-arcsin's hypergeometric one over n!.  Rectangular splitting
-(Paterson-Stockmeyer, and Smith for hypergeometric series) computes the
-powers x^1..x^s with
-s ~ sqrt(n), sums blocks of s terms with small-integer coefficients, and joins
-the blocks by Horner's rule in x^s, so about 2 sqrt(n) full-width products
-replace n of them.  Where p^(m + g) is wide, x is first written part by part
+arcsin's hypergeometric one over n!.  _tan_over_root (exp_horizontal's
+tan(y)/y, y^2 = n) takes two real sums in n to the value step with no plan.
+Rectangular splitting (Paterson-Stockmeyer, and Smith for hypergeometric
+series) computes the powers x^1..x^s with s ~ sqrt(n), sums blocks of s terms
+with small-integer coefficients, and joins the blocks by Horner's rule in
+x^s, so about 2 sqrt(n) full-width products replace n of them.  Where
+p^(m + g) is wide, x is first written part by part
 as Z/d modulo its precision, Z a small Gaussian-integer pair and d prime to p
 (rational reconstruction); the sum is then taken at Z/d homogenized: the
 powers Z^i d^(s-1-i) are exact small integers, Horner's rule multiplies by
@@ -58,7 +59,7 @@ from math import factorial, isqrt, lcm, prod
 from operator import mul
 
 from .errors import DomainError, PadicError
-from .padic import INFINITE, PadicNumber, from_rational
+from .padic import INFINITE, PadicNumber, from_rational, vp_int
 from .qpi import QpiElement, gaussian_product
 
 
@@ -511,6 +512,26 @@ def cos(x):
 
 def tan(x):
     return sin_cos_tan(x)[2]
+
+
+def _tan_over_root(n):
+    """tan(y)/y, y^2 = n: S / C with S = sin(y)/y = sum_k (-n)^k / (2k + 1)!
+    and C = cos(y) = sum_k (-n)^k / (2k)!, units summed as real planned sums
+    at a lift of n, since on v(n) >= 2 no term moves more than n/3 does when
+    n moves below m(n): at m = min(N, m(n) - v_p(3)), up to the first K whose
+    bound (K + 1) v(n) - (2K + 2) // (p - 1) on term K + 1 reaches m."""
+    p = n.ctx.p
+    m = min(n.ctx.precision, n.m - vp_int(3, p))
+    K = _first_reaching(lambda k: (k + 1) * n.v - (2 * k + 2) // (p - 1), -1, 1, m)
+
+    def value(e):
+        qs = [(2 * k + e + 1) * (2 * k + e + 2) for k in range(K)]
+        return _planned_sum(
+            n, None, [m], factorial(2 * K + e), _vp_factorial(2 * K + e, p), _block_size(K),
+            lambda Z, d, P: _rect((-Z[0], -Z[1]), d, _hyper_blocks(qs, d, P), P),
+        )
+
+    return value(1) / value(0)
 
 
 def _odd_value(x, t, ms, arcsin):

@@ -13,16 +13,10 @@ sends it onto the open unit disk of Q_p(i), lift sends it back, and there
 rotations act as Moebius maps.
 """
 
-from .analytic import _require, cos, exp, sin, tan
-from .errors import (
-    DomainError,
-    IsotropicAxis,
-    NonSquare,
-    OutsideDisk,
-    PoleHit,
-)
+from .analytic import _require, _tan_over_root, cos, exp, sin
+from .errors import DomainError, IsotropicAxis, OutsideDisk, PoleHit
 from .matrix import Mat2
-from .padic import INFINITE, PadicNumber, format_padic, from_int, sqrt, vp_int
+from .padic import INFINITE, PadicNumber, format_padic, from_int, vp_int
 from .qpi import QpiElement, format_qpi
 
 
@@ -265,25 +259,13 @@ def exp_vertical(a):
 def exp_horizontal(beta):
     """exp of X = [[0, beta], [-conj(beta), 0]]; moves sigma_z into the cup.
 
-    X^2 = -N(beta) I, so exp(X) = cos(y) I + (sin(y)/y) X with y^2 = N(beta),
-    whose class is (1, t beta) with t = tan(y)/y.  -1 is a non-square for
-    p = 3 (mod 4) and N(beta) has even valuation, so y is real or i times a
-    real, and t is real either way.
-
-    t = 1 + N/3 + 2N^2/15 + ... is a series in N = N(beta), and on v(N) >= 2
-    no term moves more than N/3 does when N moves: t is summed at N's
-    representative, then cut at N's precision less v_p(3).
-    """
+    X^2 = -N(beta) I, so exp(X) = cos(y) I + (sin(y)/y) X, y^2 = N(beta), whose
+    class is (1, t beta), t = tan(y)/y (see analytic._tan_over_root)."""
     _require(beta, "exp_horizontal", "EXP_DISK")
     ctx = beta.ctx
     n = beta.norm()
-    t = from_int(1, ctx)
-    if not n.is_zero:
-        n_rep = PadicNumber.make(ctx, n.v, n.unit, n.v + ctx.precision)
-        try:
-            y = QpiElement(sqrt(n_rep))
-        except NonSquare:
-            y = QpiElement(PadicNumber.exact_zero(ctx), sqrt(-n_rep))
-        t = (tan(y) / y).re
-    t = t.truncate(n.m - vp_int(3, ctx.p))
+    if n.is_zero:
+        t = from_int(1, ctx).truncate(n.m - vp_int(3, ctx.p))
+    else:
+        t = _tan_over_root(n)
     return ProjectiveRotation(QpiElement.one(ctx), QpiElement(t * beta.re, t * beta.im))

@@ -19,6 +19,7 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]+)|([()+\-*/^]))")
 # once per level, so this keeps hostile input far from the interpreter's
 # recursion limit
 MAX_DEPTH = 100
+MAX_LITERAL_DIGITS = 4300  # int()'s default limit on a string of digits
 
 
 def _tokenize(text):
@@ -32,6 +33,8 @@ def _tokenize(text):
                 break
             raise ParseError(f"unexpected character {rest[0]!r}", position=pos)
         if m.group(1) is not None:
+            if len(m.group(1)) > MAX_LITERAL_DIGITS:
+                raise ParseError(f"literal over {MAX_LITERAL_DIGITS} digits", position=m.start(1))
             tokens.append(("int", int(m.group(1)), pos))
         elif m.group(2) is not None:
             tokens.append(("name", m.group(2), pos))

@@ -127,7 +127,19 @@ MUTANTS = {
         ("tests/test_clifford.py",),
     ),
     "exp-horizontal-drops-1/y": (
-        "clifford.py", "(tan(y) / y).re", "tan(y).re", ("tests/test_analytic.py",),
+        "analytic.py", "return value(1) / value(0)", "return value(1)", ("tests/test_analytic.py",),
+    ),
+    "tan-over-root-stop-minus-1": (
+        "analytic.py",
+        "(2 * k + 2) // (p - 1), -1, 1, m)\n",
+        "(2 * k + 2) // (p - 1), -1, 1, m) - 1\n",
+        SERIES,
+    ),
+    "tan-over-root-drops-v3": (
+        "analytic.py",
+        "m = min(n.ctx.precision, n.m - vp_int(3, p))",
+        "m = min(n.ctx.precision, n.m)",
+        SERIES,
     ),
     "rotation-act-sign": (
         "clifford.py", "r12 * -rep.m21", "r12 * rep.m21", ("tests/test_clifford.py",),

@@ -12,6 +12,12 @@ before binomial reached the engine, copied verbatim, and arcsin composes it.
 `binomial_two_carrier` is that recurrence as it was before it carried the term
 itself: the coefficient c and the power x^n as two full-width objects,
 multiplied together for each term.
+
+`exp_horizontal` is clifford.exp_horizontal as it was before t = tan(y)/y
+was summed as two real series in N(beta): y is the kernel's square root of
+N(beta), or i times that of -N(beta) when N(beta)'s unit is not a square,
+and t is the real part of this module's tan(y) / y, cut at m(N(beta)) -
+v_p(3).
 """
 
 from padicloop.analytic import (
@@ -22,8 +28,9 @@ from padicloop.analytic import (
     _real_in_real_out,
     _require,
 )
-from padicloop.errors import DomainError, PadicError
-from padicloop.padic import INFINITE, PadicNumber, from_rational
+from padicloop.clifford import ProjectiveRotation
+from padicloop.errors import DomainError, NonSquare, PadicError
+from padicloop.padic import INFINITE, PadicNumber, from_rational, sqrt, vp_int
 from padicloop.qpi import QpiElement
 
 
@@ -198,6 +205,24 @@ def binomial_two_carrier(alpha, x):
         if tail >= total.known_precision:
             return total.truncate(tail)
     raise PadicError("binomial series failed to terminate")
+
+
+def exp_horizontal(beta):
+    """exp of [[0, beta], [-conj(beta), 0]] as the class (1, t beta), t =
+    tan(y)/y with y^2 = N(beta), summed in Q_p(i) at N(beta)'s
+    representative and then cut."""
+    ctx = beta.ctx
+    n = beta.norm()
+    t = from_rational(1, 1, ctx)
+    if not n.is_zero:
+        n_rep = PadicNumber.make(ctx, n.v, n.unit, n.v + ctx.precision)
+        try:
+            y = QpiElement(sqrt(n_rep))
+        except NonSquare:
+            y = QpiElement(PadicNumber.exact_zero(ctx), sqrt(-n_rep))
+        t = (tan(y) / y).re
+    t = t.truncate(n.m - vp_int(3, ctx.p))
+    return ProjectiveRotation(QpiElement.one(ctx), QpiElement(t * beta.re, t * beta.im))
 
 
 FUNCTIONS = {

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from matrix_reference import gmat, gmat_exp_partial
 from padic_digits import from_digits
-from padicloop import INFINITE, PadicNumber, PrimeContext, clifford, from_int, from_rational, sqrt
+from padicloop import INFINITE, PadicNumber, PrimeContext, from_int, from_rational
 from padicloop.analytic import (
     _require,
     arcsin,
@@ -29,7 +29,7 @@ from padicloop.clifford import (
     exp_vertical,
     rotation_compose,
 )
-from padicloop.errors import DomainError, NonSquare
+from padicloop.errors import DomainError
 from padicloop.oracles import (
     GaussianRational,
     rational_to_padic_digits,
@@ -494,7 +494,7 @@ class TestOracleDigits:
 
     @pytest.mark.parametrize("n", (1, 2, 4, 8, 16))
     @pytest.mark.parametrize("p", ORACLE_PRIMES)
-    def test_exp_horizontal_against_partial_sum(self, p, n, monkeypatch):
+    def test_exp_horizontal_against_partial_sum(self, p, n):
         # exp_horizontal's class (1, beta') against the exact partial sum E of
         # exp [[0, beta], [-conj(beta), 0]]: beta' = E12 / E11.  beta' has
         # m <= N + 3, and the terms after 2N + 12 have valuation above N + 6,
@@ -510,7 +510,7 @@ class TestOracleDigits:
             if k % 4 == 1:
                 g = GaussianRational(0, g.re)
             while k == 2 and _is_residue(g.norm(), p):
-                # y = sqrt(N(beta)) is then imaginary
+                # a y with y^2 = N(beta) is then imaginary
                 g = rand_disk_rational(rng, p, True)
             beta = to_kernel(g, ctx, True)
             if k % 4 == 3:
@@ -522,27 +522,18 @@ class TestOracleDigits:
             for m in range(1, v + 1):
                 betas += [QpiElement(u, PadicNumber.zero_mod(ctx, m)),
                           QpiElement(PadicNumber.zero_mod(ctx, m), u)]
-        raised = []
-
-        def counted(a):
-            try:
-                root = sqrt(a)
-            except NonSquare:
-                raised.append(True)
-                raise
-            raised.append(False)
-            return root
-
-        monkeypatch.setattr(clifford, "sqrt", counted)
+        residues = []
         for beta in betas:
             g = GaussianRational(_value_in_disk(beta.re, p, rng), _value_in_disk(beta.im, p, rng))
+            if not beta.norm().is_zero:
+                residues.append(_is_residue(g.norm(), p))
             R = exp_horizontal(beta)
             E = gmat_exp_partial(gmat(0, g, -g.conj(), 0), 2 * n + 12)
             where = f"exp_horizontal({beta}) at {g}, p={p}, N={n}: {R}"
             assert_digits_match(R.beta / R.alpha, E[1] / E[0], p, where)
-        # each NonSquare is followed by the root of -N(beta), so y was real
-        # at the calls left over: both branches were taken
-        assert 0 < raised.count(True) < raised.count(False)
+        # y with y^2 = N(beta) is real where N(beta)'s unit is a square and
+        # imaginary where it is not: both kinds of norm were checked
+        assert 0 < residues.count(False) < residues.count(True)
 
     def test_exp_horizontal_keeps_the_precise_part(self):
         # N(beta) is known to O(7^8) only, but tan(y)/y - 1 = O(N(beta)) is

@@ -10,7 +10,7 @@ from padicloop import checks, cli
 from padicloop.analytic import binomial_series
 from padicloop.cli import MAX_DECIMAL_EXPONENT, MAX_PREC, MAX_SAMPLES, main
 from padicloop.context import MAX_PRIME, PrimeContext
-from padicloop.expr import MAX_DEPTH, evaluate
+from padicloop.expr import MAX_DEPTH, MAX_LITERAL_DIGITS, evaluate
 from padicloop.loop import DiskPoint, left_divide, right_solve
 from padicloop.oracles import GaussianRational, series_partial_sum
 from padicloop.padic import format_padic, from_int, from_rational
@@ -70,6 +70,22 @@ class TestArith:
     ], ids=["parentheses", "unary-minus", "sqrt"])
     def test_nesting_at_the_limit_evaluates(self, capsys, expr):
         assert run_cli(capsys, "arith", expr) == (0, "1 + O(7^32)\n", "")
+
+    @pytest.mark.parametrize("expr, position", [
+        ("1 + " + "1" * (MAX_LITERAL_DIGITS + 1), 4),
+        ("2^" + "1" * (MAX_LITERAL_DIGITS + 1), 2),
+    ], ids=["literal", "exponent"])
+    def test_overlong_literal_is_a_parse_error(self, capsys, expr, position):
+        assert run_cli(capsys, "arith", expr, "--p", "7") == (
+            2, "",
+            f"error: ParseError: literal over {MAX_LITERAL_DIGITS} digits (at position {position})\n",
+        )
+
+    def test_literal_at_the_digit_limit_evaluates(self, capsys):
+        # the literal of k ones is (10^k - 1) / 9
+        k = MAX_LITERAL_DIGITS
+        want = format_padic(from_rational(10**k - 1, 9, PrimeContext(7, 8)))
+        assert run_cli(capsys, "arith", "1" * k, "--p", "7", "--prec", "8") == (0, want + "\n", "")
 
     def test_far_addend_keeps_power_cache_small(self):
         ctx = PrimeContext(7, 32)

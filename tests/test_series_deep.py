@@ -14,7 +14,9 @@ within a few seconds.  A seeded batch of random inputs at N <= 64 then
 reaches the edges of the precision plan.  Last, the value step is forced onto
 x's small rational form Z / d at every width, and the width rule that keeps
 narrow sums off it is pinned, as are arctan's and arcsin's own-series value
-step and the engine's Newton inverse.
+step and the engine's Newton inverse.  clifford.exp_horizontal, whose t =
+tan(y)/y is two real planned sums in y^2 = N(beta), is held to the
+square-root formula it replaced (series_reference.exp_horizontal).
 """
 
 import random
@@ -23,7 +25,7 @@ import pytest
 
 import series_reference as reference
 from padic_digits import from_digits
-from padicloop import analytic, checks
+from padicloop import analytic, checks, clifford
 from padicloop.context import PrimeContext
 from padicloop.errors import PadicError
 from padicloop.padic import PadicNumber, from_rational
@@ -481,3 +483,55 @@ def test_arctan_and_arcsin_own_series_match_reference(forced, monkeypatch):
     assert own.count(False) > 150 and own.count(True) > 150
     if forced:
         assert sum(form[1] > 1 for form in forms if form) > 100
+
+
+def horizontal_inputs(count, seed):
+    """Seeded beta on p 3, 7, 11, 19 and 10007 at N 1-128, one in 25 at N 256
+    or 512, each part a _random_component (exact zeros, inexact zeros,
+    truncated and long scalars, so unequal r), an exact zero whose m is 0,
+    or a small rational p^v a / b."""
+    rng = random.Random(seed)
+    for k in range(count):
+        N = rng.choice((256, 512)) if k % 25 == 0 else rng.randint(1, 128)
+        ctx = PrimeContext(rng.choice((3, 7, 11, 19, 10007)), N)
+        parts = []
+        for _ in range(2):
+            kind = rng.randrange(6)
+            if kind == 0:
+                parts.append(PadicNumber.exact_zero(ctx, 0))
+            elif kind == 1:
+                a, b = (rng.choice([c for c in range(1, 60) if c % ctx.p]) for _ in range(2))
+                parts.append(from_rational(rng.choice((-a, a)) * ctx.p ** rng.randint(1, 3), b, ctx))
+            else:
+                parts.append(_random_component(rng, ctx))
+        yield QpiElement(*parts)
+
+
+def _rotation_fields(R):
+    return [(c.kind, c.v, c.unit, c.r, c.m) for c in (R.alpha.re, R.alpha.im, R.beta.re, R.beta.im)]
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["width-rule", "forced-form"])
+def test_exp_horizontal_matches_square_root_reference(forced, monkeypatch):
+    # t = tan(y)/y, once summed in Q_p(i) at y = sqrt(N(beta)) and then cut,
+    # is now two real planned sums in N(beta) (analytic._tan_over_root):
+    # every field must be the reference's, on norms whose unit is a square
+    # (y real), is not (y imaginary) or that are zero
+    if forced:
+        monkeypatch.setattr(analytic, "_RATIONAL_BITS", 0)
+    forms = _record_forms(monkeypatch)
+    norms = {"zero": 0, "residue": 0, "non-residue": 0}
+    mismatched = []
+    for beta in horizontal_inputs(400, seed=24):
+        n, p = beta.norm(), beta.ctx.p
+        if n.is_zero:
+            norms["zero"] += 1
+        else:
+            norms["residue" if pow(n.unit, (p - 1) // 2, p) == 1 else "non-residue"] += 1
+        got = _rotation_fields(clifford.exp_horizontal(beta))
+        if got != _rotation_fields(reference.exp_horizontal(beta)):
+            mismatched.append(repr(beta))
+    assert mismatched == []
+    assert min(norms.values()) > 30
+    # wide sums took N(beta)'s small rational form, with denominators d > 1
+    assert sum(form[1] > 1 for form in forms if form) > (30 if forced else 5)
