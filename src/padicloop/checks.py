@@ -57,7 +57,6 @@ from .oracles import (
     rational_to_padic_digits,
     rational_valuation,
     series_partial_sum,
-    sqrt_digits,
 )
 from .padic import INFINITE, PadicNumber, format_padic, from_rational, parse_padic, sqrt
 from .qpi import QpiElement, format_qpi, parse_qpi
@@ -532,6 +531,15 @@ def run_clifford(p, prec, seed, samples):
 # ---- oracle suite (kernel digits plus the Archimedean model) ----
 
 
+def _is_canonical_root(s, a):
+    """s * s = a, and a nonzero s has sqrt's leading digit, at most (p - 1)/2.
+    For odd p and a unit a, Hensel's lemma gives exactly two roots modulo
+    p^r, s and p^r - s, with leading digits d and p - d on opposite sides of
+    (p - 1)/2, so that digit decides every other one."""
+    p = s.ctx.p
+    return (s * s).eq_to(a) and (s.is_zero or s.unit % p <= (p - 1) // 2)
+
+
 def run_oracle(p, prec, seed, samples):
     ctx = PrimeContext(p, prec)
     ext = ctx.p % 4 == 3  # Q_p(i) literals only exist when it is a field
@@ -548,11 +556,7 @@ def run_oracle(p, prec, seed, samples):
         den = rng.randint(1, 10**3)
         x = from_rational(num, den, ctx)
         a = x * x
-        s = sqrt(a)
-        ok = (s * s).eq_to(a)
-        if ok and not s.is_zero:
-            ok = s.unit_digits() == sqrt_digits(a.unit % ctx.pow(s.r), p, s.r)
-        return ok, lambda: f"q=({num}/{den})^2"
+        return _is_canonical_root(sqrt(a), a), lambda: f"q=({num}/{den})^2"
 
     def parse_format(rng):
         num = rng.randint(-10**6, 10**6)

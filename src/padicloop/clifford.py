@@ -78,14 +78,13 @@ def reflect(u, v):
 
 class SpherePoint:
     """Point with q(v) = 1, carried as its coordinate vector; the matrix
-    involution iota(v) is derived on demand."""
+    involution iota(v) is derived on demand.  sigma_z, lift, rotation_act and
+    polar_point keep q(v) = 1 by construction, so it is not rechecked here;
+    `check` reports a break through chart-round-trip and equivariance."""
 
     __slots__ = ("vec",)
 
     def __init__(self, vec):
-        q = quadratic_form(vec, vec)
-        if not (q - from_int(1, vec.ctx)).is_zero:
-            raise DomainError("coordinates do not satisfy a^2+b^2+c^2 = 1")
         object.__setattr__(self, "vec", vec)
 
     def __setattr__(self, name, value):

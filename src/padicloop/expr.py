@@ -9,7 +9,7 @@ evaluates as a QpiElement; real results keep an exact-zero imaginary part.
 import re
 
 from .errors import DomainError, ParseError
-from .padic import PadicNumber, from_int
+from .padic import MAX_LITERAL_DIGITS, PadicNumber, from_int
 from .padic import sqrt as padic_sqrt
 from .qpi import QpiElement
 
@@ -19,7 +19,6 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]+)|([()+\-*/^]))")
 # once per level, so this keeps hostile input far from the interpreter's
 # recursion limit
 MAX_DEPTH = 100
-MAX_LITERAL_DIGITS = 4300  # int()'s default limit on a string of digits
 
 
 def _tokenize(text):

@@ -95,16 +95,13 @@ def right_solve(a, b):
 
 class Deviation:
     """The unimodular factor (1 - xi1 conj(xi2))/(1 - conj(xi1) xi2); acts on
-    the disk by multiplication."""
+    the disk by multiplication.  A unit over its conjugate has u conj(u) = 1
+    by construction, so it is not rechecked here; `check` reports a break
+    through deviation-unimodular and automorphism-law."""
 
     __slots__ = ("factor",)
 
     def __init__(self, factor):
-        if factor.valuation != 0:
-            raise DomainError("deviation factor must be a unit")
-        one = from_int(1, factor.ctx)
-        if not (factor.norm() - one).is_zero:
-            raise DomainError("deviation factor must satisfy u conj(u) = 1")
         object.__setattr__(self, "factor", factor)
 
     def __setattr__(self, name, value):

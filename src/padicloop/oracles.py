@@ -4,6 +4,10 @@ Everything here runs on Python integers and stdlib Fraction / complex
 arithmetic and never touches the digit kernel: no PadicNumber, no truncation,
 no inverse modulo p^N.  Agreement between the two is meaningful evidence.
 
+A square root needs no oracle here: `check` tests it by its square and its
+leading digit, and tests/padic_digits.py keeps the digit-by-digit Hensel
+search that pins that test.
+
 series_partial_sum writes each series as sum_n c_n x^(s + k n) with c_0 = 1
 and c_(n+1) / c_n = P(n) / Q(n) for small integers P(n), Q(n).  With
 x = (a + b i) / d, Horner's rule keeps the partial sum as a Gaussian-integer
@@ -57,40 +61,6 @@ def rational_to_padic_digits(q, p, m):
         rem = (rem - d * den) // p  # exact: rem - d*den = 0 (mod p) by choice of d
     while digits and digits[-1] == 0:
         digits.pop()
-    return digits
-
-
-def sqrt_digits(u, p, m):
-    """Digit-by-digit Hensel lifting of sqrt(u) for a unit residue u.
-
-    Each digit is found by exhaustive search, deliberately avoiding modular
-    inverses so this stays independent of the kernel's Newton route.  Returns
-    the m digits of the branch with leading digit <= (p-1)/2, or None when u
-    is not a residue.
-    """
-    x0 = None
-    for d in range(1, (p - 1) // 2 + 1):
-        if (d * d - u) % p == 0:
-            x0 = d
-            break
-    if x0 is None:
-        return None
-    x, pk = x0, p
-    for _ in range(1, m):
-        pk1 = pk * p
-        for t in range(p):
-            cand = x + t * pk
-            if (cand * cand - u) % pk1 == 0:
-                x = cand
-                break
-        else:
-            return None  # cannot happen for odd p, kept as a hard failure signal
-        pk = pk1
-    # the d0 search range already picked the branch with d0 <= (p-1)/2
-    digits = []
-    for _ in range(m):
-        x, d = divmod(x, p)
-        digits.append(d)
     return digits
 
 

@@ -28,6 +28,11 @@ _NONZERO = 0
 _EXACT_ZERO = 1
 _ZERO_MOD = 2
 
+# int() and str() refuse a decimal string longer than this by default, so a
+# literal is capped at it on input and a printed exponent on output
+MAX_LITERAL_DIGITS = 4300
+_EXPONENT_CAP = 10**MAX_LITERAL_DIGITS
+
 
 def vp_int(n, p):
     """Valuation of a nonzero integer."""
@@ -410,6 +415,9 @@ def sqrt(a):
 def format_padic(a):
     """Canonical literal: `d + d*p + d*p^k + ... + O(p^m)`, zero digits omitted."""
     p = a.ctx.p
+    # v and m bound every printed exponent, and a nonzero value prints v
+    if abs(a.m) >= _EXPONENT_CAP or (a.kind == _NONZERO and abs(a.v) >= _EXPONENT_CAP):
+        raise PadicError(f"result has an exponent over {MAX_LITERAL_DIGITS} digits")
     if a.kind != _NONZERO:
         return f"O({p}^{a.m})"
     terms = []

@@ -150,6 +150,19 @@ MUTANTS = {
     "checks-draw-accepts-n": (
         "checks.py", "while r >= n", "while r > n", ("tests/test_checks.py",),
     ),
+    "sqrt-branch-check-strict": (
+        "checks.py", "<= (p - 1) // 2", "< (p - 1) // 2", ("tests/test_checks.py",),
+    ),
+    # the kernel's branch fault must be caught by the check suite itself
+    "sqrt-kernel-branch-flipped": (
+        "padic.py",
+        "if x % p > (p - 1) // 2:",
+        "if x % p <= (p - 1) // 2:",
+        ("tests/test_checks.py",),
+    ),
+    "deviation-conj-dropped": (
+        "loop.py", "(1 - v1 * v2.conj())", "(1 - v1 * v2)", ("tests/test_checks.py",),
+    ),
 }
 
 

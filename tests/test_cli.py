@@ -87,6 +87,31 @@ class TestArith:
         want = format_padic(from_rational(10**k - 1, 9, PrimeContext(7, 8)))
         assert run_cli(capsys, "arith", "1" * k, "--p", "7", "--prec", "8") == (0, want + "\n", "")
 
+    @pytest.mark.parametrize("expr", [
+        "7^" + "9" * MAX_LITERAL_DIGITS,
+        "O(7^" + "9" * MAX_LITERAL_DIGITS + ") * 7^9",
+        "7^-" + "9" * MAX_LITERAL_DIGITS + " / 7",
+    ], ids=["power", "o-term", "valuation"])
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_overlong_output_exponent_is_one_error_line(self, capsys, expr, fmt):
+        # each literal passes the input cap, but the result's O-term
+        # exponent, or for the last its valuation, has one digit more than
+        # str() will print
+        assert run_cli(capsys, "arith", expr, "--p", "7", "--prec", "8", "--format", fmt) == (
+            2, "",
+            f"error: PadicError: result has an exponent over {MAX_LITERAL_DIGITS} digits\n",
+        )
+
+    def test_output_exponent_at_the_digit_limit_prints(self, capsys):
+        nines = "9" * MAX_LITERAL_DIGITS
+        assert run_cli(capsys, "arith", f"O(7^{nines})", "--p", "7") == (
+            0, f"O(7^{nines})\n", ""
+        )
+        # v and m = v + 2 = 10^4300 - 1 both have 4,300 digits
+        v = 10**MAX_LITERAL_DIGITS - 3
+        code, out, err = run_cli(capsys, "arith", f"7^{v}", "--p", "7", "--prec", "2")
+        assert (code, out, err) == (0, f"1*7^{v} + O(7^{v + 2})\n", "")
+
     def test_far_addend_keeps_power_cache_small(self):
         ctx = PrimeContext(7, 32)
         assert str(evaluate("1 + 7^16000", ctx)) == "1 + O(7^32)"

@@ -236,11 +236,6 @@ class TestSpherePoints:
         assert stereo(P).is_zero
         assert (P.matrix * P.matrix).eq_to(Mat2.identity(C7))
 
-    def test_rejects_off_sphere_coordinates(self):
-        one = from_int(1, C7)
-        with pytest.raises(DomainError):
-            SpherePoint(Vector3(one, one, one))
-
     def test_cup_rejects_far_points(self):
         z = PadicNumber.exact_zero(C7)
         one = from_int(1, C7)

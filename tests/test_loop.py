@@ -385,12 +385,6 @@ class TestDeviation:
             assert (d.factor * d.factor.conj()).eq_to(one)
             assert d.factor.conj().eq_to(one / d.factor)
 
-    def test_invariants_enforced(self):
-        with pytest.raises(DomainError):
-            Deviation(QpiElement(from_int(7, C7)))
-        with pytest.raises(DomainError):
-            Deviation(QpiElement(from_int(2, C7)))
-
     def test_apply_preserves_absolute_value(self):
         rng = random.Random(93)
         for _ in range(15):

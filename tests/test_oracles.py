@@ -7,6 +7,7 @@ from math import comb, factorial
 import pytest
 
 from matrix_reference import gmat, gmat_exp_partial, gmat_identity, gmat_mul
+from padic_digits import sqrt_digits
 from padicloop.errors import NearPole, ZeroDenominator
 from padicloop.oracles import (
     GaussianRational,
@@ -15,7 +16,6 @@ from padicloop.oracles import (
     rational_to_padic_digits,
     rational_valuation,
     series_partial_sum,
-    sqrt_digits,
 )
 
 

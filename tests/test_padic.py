@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padic_digits import from_digits
+from padic_digits import from_digits, sqrt_digits
 from padicloop import (
     DivisionByZero,
     NonSquare,
@@ -27,7 +27,7 @@ from padicloop import (
 from padicloop.checks import _rand_padic
 from padicloop.context import MAX_PRIME, is_prime
 from padicloop.errors import PadicError
-from padicloop.oracles import rational_to_padic_digits, rational_valuation, sqrt_digits
+from padicloop.oracles import rational_to_padic_digits, rational_valuation
 
 C7 = PrimeContext(7, 8)
 
