@@ -17,7 +17,7 @@ from .context import PrimeContext
 from .errors import PadicError, ParseError
 from .expr import evaluate
 from .loop import DiskPoint, deviation, left_divide, loop_add, right_solve
-from .padic import format_padic, from_rational
+from .padic import MAX_LITERAL_DIGITS, format_padic, from_rational
 from .qpi import QpiElement, format_qpi, require_prime_class
 
 # work and memory grow with both, so each is bounded where input enters
@@ -122,6 +122,10 @@ def _cmd_analytic(args):
         if len(args.args) != 2:
             raise ParseError("binom takes two arguments: exponent and point")
         alpha_text, x_text = args.args
+        # Fraction reads each digit run with int(), which refuses over 4300
+        if any(len(run.replace("_", "")) > MAX_LITERAL_DIGITS
+               for run in re.findall(r"\d+(?:_\d+)*", alpha_text)):
+            raise ParseError(f"binom exponent: a number over {MAX_LITERAL_DIGITS} digits")
         e = re.search(r"e([-+]?\d+(?:_\d+)*)\s*$", alpha_text, re.IGNORECASE)
         if e and abs(int(e.group(1))) > MAX_DECIMAL_EXPONENT:
             raise ParseError(

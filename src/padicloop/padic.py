@@ -349,43 +349,36 @@ def power(x, k, one):
 
 
 def _sqrt_mod_p(a, p):
-    """Tonelli-Shanks: a square root of the residue a modulo p, or None."""
+    """Cipolla: a square root of the residue a modulo the odd prime p, or None.
+
+    For the least t >= 0 with w = t^2 - a a non-residue, the root is the real
+    part of (t + omega)^((p+1)/2) in F_p(omega), where omega^2 = w.
+    """
     a %= p
     if a == 0:
         return 0
     if pow(a, (p - 1) // 2, p) != 1:
         return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c = pow(z, q, p)
-    x = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
-    m = s
-    while t != 1:
-        i, sq = 0, t
-        while sq != 1:
-            sq = sq * sq % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        x = x * b % p
-        c = b * b % p
-        t = t * c % p
-        m = i
+    t = 0
+    while pow(t * t - a, (p - 1) // 2, p) != p - 1:
+        t += 1
+    w, e = (t * t - a) % p, (p + 1) // 2
+    x, y, bx, by = 1, 0, t, 1  # (x + y*omega)(bx + by*omega)^e stays fixed
+    while e:
+        if e & 1:
+            x, y = (x * bx + y * by * w) % p, (x * by + y * bx) % p
+        bx, by = (bx * bx + by * by * w) % p, 2 * bx * by % p
+        e >>= 1
     return x
 
 
 def sqrt(a):
     """Canonical square root: the branch whose leading digit is <= (p-1)/2.
 
-    Newton lifting on the unit part doubles the correct digits each pass, so
-    the cost is a handful of modular multiplications at full width.
+    Newton lifting of y = 1/sqrt(u) on the unit part, y <- y(3 - u*y^2)/2,
+    doubles the correct digits each pass with multiplications only; then
+    sqrt(u) = u*y. For odd p the roots are exactly +-x, so the final flip
+    fixes the branch whatever root mod p the lift started from.
     """
     if a.kind == _EXACT_ZERO:
         return a
@@ -401,11 +394,12 @@ def sqrt(a):
     if x0 is None or x0 == 0:
         raise NonSquare(f"leading digit {a.unit % p} is not a quadratic residue mod {p}")
     r = a.r
-    x, k = x0, 1
+    y, k = pow(x0, -1, p), 1
     while k < r:
         k = min(2 * k, r)
         pk = ctx.pow(k)
-        x = (x + (a.unit % pk) * ctx.inv_mod(x, k)) * ((pk + 1) // 2) % pk
+        y = y * (3 - (a.unit % pk) * y * y) * ((pk + 1) // 2) % pk
+    x = a.unit * y % ctx.pow(r)
     if x % p > (p - 1) // 2:
         x = ctx.pow(r) - x
     v = a.v // 2

@@ -160,6 +160,12 @@ MUTANTS = {
         "if x % p <= (p - 1) // 2:",
         ("tests/test_checks.py",),
     ),
+    "cipolla-exponent": (
+        "padic.py", "(p + 1) // 2", "(p - 1) // 2", ("tests/test_padic.py",),
+    ),
+    "sqrt-lift-3": (
+        "padic.py", "y * (3 - (a.unit", "y * (2 - (a.unit", ("tests/test_padic.py",),
+    ),
     "deviation-conj-dropped": (
         "loop.py", "(1 - v1 * v2.conj())", "(1 - v1 * v2)", ("tests/test_checks.py",),
     ),

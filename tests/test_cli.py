@@ -172,6 +172,24 @@ class TestAnalytic:
         r = evaluate(out.strip(), ctx).re
         assert (r * r).truncate(r.m - 1).eq_to(from_int(8, ctx))
 
+    @pytest.mark.parametrize("alpha", [
+        "1" * (MAX_LITERAL_DIGITS + 1),
+        "1/" + "3" * (MAX_LITERAL_DIGITS + 1),
+        "1" * MAX_LITERAL_DIGITS + "_1",
+    ], ids=["integer", "denominator", "underscored"])
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_binom_overlong_exponent_is_one_error_line(self, capsys, alpha, fmt):
+        assert run_cli(capsys, "analytic", "binom", alpha, "7", "--p", "7", "--prec", "4",
+                       "--format", fmt) == (
+            2, "", f"error: ParseError: binom exponent: a number over {MAX_LITERAL_DIGITS} digits\n"
+        )
+
+    def test_binom_exponent_at_the_digit_limit_prints(self, capsys):
+        alpha = "1" * MAX_LITERAL_DIGITS
+        assert run_cli(capsys, "analytic", "binom", alpha, "7", "--p", "7", "--prec", "4") == (
+            0, "1 + 5*7 + 4*7^2 + 6*7^3 + O(7^4)\n", ""
+        )
+
     def test_binom_arity_enforced(self, capsys):
         code, _, err = run_cli(capsys, "analytic", "binom", "1/2")
         assert code == 2

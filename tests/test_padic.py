@@ -28,6 +28,7 @@ from padicloop.checks import _rand_padic
 from padicloop.context import MAX_PRIME, is_prime
 from padicloop.errors import PadicError
 from padicloop.oracles import rational_to_padic_digits, rational_valuation
+from padicloop.padic import _sqrt_mod_p
 
 C7 = PrimeContext(7, 8)
 
@@ -372,6 +373,64 @@ class TestSqrt:
         r = sqrt(from_rational(2 * 49, 1, C7))
         assert r.valuation == 1
         assert r.unit % 7 == 3
+
+    def test_root_mod_p_for_every_residue(self):
+        # 17, 41, 97, 193, 257 and 577 are 1 modulo a high power of 2
+        primes = [p for p in range(3, 600, 2) if is_prime(p)]
+        assert {17, 41, 97, 193, 257, 577} <= set(primes)
+        for p in primes:
+            squares = {x * x % p for x in range(p)}
+            for a in range(p):
+                r = _sqrt_mod_p(a, p)
+                if a in squares:
+                    assert r is not None and r * r % p == a, (p, a)
+                else:
+                    assert r is None, (p, a)
+
+    @pytest.mark.parametrize("p", [5, 13, 17, 10009])
+    @pytest.mark.parametrize("prec", [1, 2, 8, 64])
+    def test_p_one_mod_four_matches_digitwise_oracle(self, p, prec):
+        rng = random.Random(p * 100 + prec)
+        ctx = PrimeContext(p, prec)
+        for _ in range(6):
+            v = 2 * rng.randrange(-1, 2)
+            u = rng.randrange(1, p**prec)
+            if u % p == 0:
+                u += 1
+            with pytest.raises(NonSquare):
+                sqrt(PadicNumber.make(ctx, v + 1, u, v + 1 + prec))
+            a = PadicNumber.make(ctx, v, u, v + prec)
+            want = sqrt_digits(u, p, prec)
+            if want is None:
+                with pytest.raises(NonSquare):
+                    sqrt(a)
+            else:
+                r = sqrt(a)
+                assert (r.v, r.m, r.unit_digits()) == (v // 2, v // 2 + prec, want)
+
+    @pytest.mark.parametrize("prec", [1, 2, 8, 64])
+    def test_p_one_mod_four_above_two_to_the_64(self, prec):
+        # too wide for the digit search: square a known root on the
+        # canonical branch, and name non-residues by Euler's criterion
+        p = 18446744073709551697
+        assert p % 8 == 1 and is_prime(p)
+        ctx = PrimeContext(p, prec)
+        rng = random.Random(prec)
+        for _ in range(6):
+            v = rng.randrange(-2, 3)
+            s = rng.randrange(1, p**prec)
+            if s % p > (p - 1) // 2:
+                s = p**prec - s
+            root = PadicNumber.make(ctx, v, s, v + prec)
+            r = sqrt(root * root)
+            assert (r.v, r.unit, r.m) == (root.v, root.unit, root.m)
+            n = rng.randrange(2, p)
+            while pow(n, (p - 1) // 2, p) != p - 1:
+                n += 1
+            with pytest.raises(NonSquare):
+                sqrt(PadicNumber.make(ctx, 2 * v, n * s * s, 2 * v + prec))
+            with pytest.raises(NonSquare):
+                sqrt(PadicNumber.make(ctx, 2 * v + 1, s * s, 2 * v + 1 + prec))
 
 
 class TestLiterals:
