@@ -17,7 +17,7 @@ from .analytic import _require, _tan_over_root, cos, exp, sin
 from .errors import DomainError, IsotropicAxis, OutsideDisk, PoleHit
 from .matrix import Mat2
 from .padic import INFINITE, PadicNumber, format_padic, from_int, vp_int
-from .qpi import QpiElement, format_qpi
+from .qpi import QpiElement, format_qpi, real_quotients
 
 
 class Vector3:
@@ -213,7 +213,8 @@ def mobius_action(R, xi):
 
 def stereo(P):
     """The cup chart (a+ib)/(1+c), defined on the cup ||P - sigma_z|| <= 1/p
-    (sup-norm on coordinates), where 1 + c = 2 + (c - 1) is a unit."""
+    (sup-norm on coordinates), where 1 + c = 2 + (c - 1) is a unit.  The
+    divisor is real, so Q_p(i) division divides a and b by it alone."""
     vec = P.vec
     one = from_int(1, vec.ctx)
     if min(x.valuation_lower_bound for x in (vec.a, vec.b, vec.c - one)) < 1:
@@ -222,16 +223,21 @@ def stereo(P):
 
 
 def lift(xi):
-    """Inverse of the cup chart: |xi|_p < 1 back to the sphere near sigma_z."""
+    """Inverse of the cup chart: |xi|_p < 1 back to the sphere near sigma_z,
+    (2 xi, 1 - N(xi)) / (1 + N(xi)).  The real unit 1 + N(xi) divides all
+    three parts through one inverse; an exact-zero part of xi keeps the
+    Q_p(i) division, whose display m for it depends on the path."""
     if xi.valuation_lower_bound < 1:
         raise OutsideDisk("lift needs |xi|_p < 1")
-    ctx = xi.ctx
-    one = from_int(1, ctx)
+    one = from_int(1, xi.ctx)
     n = xi.norm()
     den = one + n
-    c = (one - n) / den
-    z = (xi + xi) / den
-    return SpherePoint(Vector3(z.re, z.im, c))
+    two_xi = xi + xi
+    if two_xi.re.is_exact_zero or two_xi.im.is_exact_zero:
+        z = two_xi / den
+        return SpherePoint(Vector3(z.re, z.im, (one - n) / den))
+    a, b, c = real_quotients((two_xi.re, two_xi.im, one - n), den)
+    return SpherePoint(Vector3(a, b, c))
 
 
 def polar_point(theta, phi):

@@ -13,6 +13,15 @@ representatives' product, so when all four parts are nonzero the product is
 formed on raw Gaussian integers (three big products) and each part is
 normalized once; a part that is zero, exact or not, takes the object
 formula.  The norm is formed the same way.
+
+Division z / w is z conj(w) over the real norm N(w), both parts through one
+inverse of the norm's unit.  A nonzero real divisor s (a scalar, or a pair
+whose imaginary part is the exact zero) skips the norm: each part x is
+divided by s alone, through one inverse of s's unit.  The fields agree with
+the norm route's, since (x s)/s^2 has v(x) - v(s), r = min(r(x), r(s)) and
+unit u(x)/u(s), and an inexact zero keeps m(x) - v(s); only an exact-zero
+part's display m depends on the path, so a dividend with one keeps the norm
+route.
 """
 
 from .errors import DivisionByZero, PadicError, ParseError, PrecisionExhausted, WrongPrimeClass
@@ -158,6 +167,12 @@ class QpiElement:
 
     def __truediv__(self, other):
         other = _coerce(other, self.ctx)
+        s, a, b = other.re, self.re, self.im
+        # a real divisor skips the norm unless an exact-zero part needs the
+        # norm route's display m (module docstring)
+        if (other.im.is_exact_zero and not s.is_zero and s.ctx.p == a.ctx.p
+                and not (a.is_exact_zero or b.is_exact_zero)):
+            return QpiElement(*real_quotients((a, b), s))
         if other.is_exact_zero:
             raise DivisionByZero("division by exact zero in Q_p(i)")
         n = other.norm()
@@ -202,6 +217,15 @@ class QpiElement:
 
     def __repr__(self):
         return f"QpiElement({format_qpi(self)})"
+
+
+def real_quotients(parts, s):
+    """Each scalar of parts divided by the nonzero scalar s, through one
+    inverse of s's unit at the widest r a nonzero part needs."""
+    ctx = s.ctx
+    r = max((min(x.r, s.r) for x in parts if not x.is_zero), default=0)
+    inv = ctx.inv_mod(s.unit % ctx.pow(r), r) if r else None
+    return [x.quotient(s, inv) for x in parts]
 
 
 def gaussian_product(x, y):

@@ -108,6 +108,18 @@ MUTANTS = {
         "r = min((min(x.r, n.r)",
         ("tests/test_qpi.py", "tests/test_precision_honesty.py"),
     ),
+    "real-divisor-takes-exact-zero": (
+        "qpi.py",
+        "\n                and not (a.is_exact_zero or b.is_exact_zero)):",
+        "):",
+        ("tests/test_qpi.py",),
+    ),
+    "real-divisor-narrow-r": (
+        "qpi.py",
+        "r = max((min(x.r, s.r)",
+        "r = min((min(x.r, s.r)",
+        ("tests/test_qpi.py", "tests/test_clifford.py"),
+    ),
     "qpi-mul-widest-m": (
         "qpi.py",
         "m_re = min(",

@@ -31,13 +31,19 @@ from padicloop.errors import (
     OutsideDisk,
     PoleHit,
 )
+from padicloop.loop import sphere_loop_add
 from padicloop.matrix import Mat2
 from padicloop.oracles import GaussianRational
 from padicloop.qpi import QpiElement
+from qpi_reference import norm_route_lift, norm_route_sphere_loop_add, norm_route_stereo
 
 C7 = PrimeContext(7, 24)
 C11 = PrimeContext(11, 20)
 IDENTITY = ProjectiveRotation(QpiElement.one(C7), QpiElement.zero(C7))
+
+
+def fields(parts):
+    return [(x.kind, x.v, x.unit, x.r, x.m) for x in parts]
 
 
 def rand_padic(rng, ctx, vmin=0, vmax=2):
@@ -407,6 +413,52 @@ class TestCharts:
             vxi = xi.valuation
             assert (P.vec.c - one).valuation == 2 * vxi
             assert min(P.vec.a.valuation, P.vec.b.valuation) == vxi
+
+    @pytest.mark.parametrize("p,prec", [(3, 1), (7, 2), (7, 24), (11, 5), (10007, 16)])
+    def test_charts_match_norm_route(self, p, prec):
+        # lift divides by its real denominator part by part and stereo by a
+        # real 1 + c; the fields must be the norm route's for real,
+        # pure-imaginary, exact-zero and inexact-zero xi alike
+        ctx = PrimeContext(p, prec)
+        rng = random.Random(p * 100 + prec)
+
+        def part():
+            kind = rng.randrange(4)
+            if kind == 0:
+                return PadicNumber.exact_zero(ctx, rng.choice((0, 1, prec, prec + 7)))
+            if kind == 1:
+                return PadicNumber.zero_mod(ctx, rng.randint(1, prec + 4))
+            return rand_padic(rng, ctx, 1, 3).truncate(rng.randint(prec, prec + 4))
+
+        kinds = set()
+        for _ in range(80):
+            xis = [QpiElement(part(), part()) for _ in range(2)]
+            kinds.update((x.re.kind, x.im.kind) for x in xis)
+            A, B = (lift(x).vec for x in xis)
+            for x, P in zip(xis, (A, B)):
+                assert fields((P.a, P.b, P.c)) == fields(norm_route_lift(x)), x
+                xi, want = stereo(SpherePoint(P)), norm_route_stereo(P.a, P.b, P.c)
+                assert fields((xi.re, xi.im)) == fields((want.re, want.im)), P
+            S = sphere_loop_add(SpherePoint(A), SpherePoint(B)).vec
+            assert fields((S.a, S.b, S.c)) == fields(
+                norm_route_sphere_loop_add((A.a, A.b, A.c), (B.a, B.b, B.c))
+            ), xis
+        assert len(kinds) == 9
+
+    def test_lift_inverts_its_denominator_once(self, monkeypatch):
+        calls = []
+        inv_mod = PrimeContext.inv_mod
+
+        def counted(ctx, u, k):
+            calls.append(k)
+            return inv_mod(ctx, u, k)
+
+        xi = QpiElement(from_int(7, C7), from_rational(-14, 5, C7))
+        monkeypatch.setattr(PrimeContext, "inv_mod", counted)
+        P = lift(xi).vec
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert fields((P.a, P.b, P.c)) == fields(norm_route_lift(xi))
 
     def test_lift_rejects_units(self):
         with pytest.raises(OutsideDisk):

@@ -20,10 +20,11 @@ from padicloop import (
     from_rational,
 )
 from padicloop.checks import _rand_padic
-from padicloop.errors import PrecisionExhausted
+from padicloop.errors import PadicError, PrecisionExhausted
 from padicloop.matrix import Mat2
 from padicloop.oracles import GaussianRational, rational_to_padic_digits, rational_valuation
 from padicloop.qpi import QpiElement, format_qpi, parse_qpi
+from qpi_reference import norm_route_division
 
 C7 = PrimeContext(7, 8)
 
@@ -166,6 +167,46 @@ class TestFieldOps:
             ], (a, b)
             checked += 1
         assert checked > 100
+
+    @pytest.mark.parametrize("p", [3, 7, 11, 19, 10007])
+    @pytest.mark.parametrize("prec", [1, 2, 5, 16, 64])
+    def test_real_divisor_matches_norm_route(self, p, prec):
+        # a real divisor divides each part alone; every field of both parts,
+        # and every error with its message, must be the norm route's
+        ctx = PrimeContext(p, prec)
+        wide = PrimeContext(p, prec + 3)
+        rng = random.Random(p * 1000 + prec)
+
+        def comp(c):
+            kind = rng.randrange(5)
+            if kind == 0:
+                return PadicNumber.exact_zero(c, rng.choice((1, prec, prec + 5)))
+            if kind == 1:
+                return PadicNumber.zero_mod(c, rng.randint(-1, prec + 4))
+            v = rng.randint(-2, 3)
+            ndigits = rng.randint(1, prec + 5)
+            digits = [rng.randint(1, p - 1)] + [rng.randint(0, p - 1) for _ in range(ndigits - 1)]
+            return from_digits(c, v, digits, m=v + ndigits)
+
+        def outcome(divide, z, w):
+            try:
+                q = divide(z, w)
+            except PadicError as e:
+                return type(e), str(e)
+            return fields(q.re), fields(q.im)
+
+        branch = errors = 0
+        for _ in range(60):
+            z = QpiElement(comp(ctx), comp(ctx))
+            s = comp(rng.choice((ctx, wide)))
+            for w in [s] + [
+                QpiElement(s, PadicNumber.exact_zero(ctx, m)) for m in (1, prec, prec + 7)
+            ]:
+                got = outcome(truediv, z, w)
+                assert got == outcome(norm_route_division, z, w), (z, w)
+                errors += isinstance(got[0], type)
+            branch += not (s.is_zero or z.re.is_exact_zero or z.im.is_exact_zero)
+        assert branch > 10 and errors > 10
 
 
 class TestConj:
