@@ -47,6 +47,24 @@ the same digits (see _planned_sum).
 A series that stops before the plan is proven simply finishes on the object
 recurrence, so every digit and every O-term is the recurrence's own.
 
+The value step's tables depend on small integers alone, never on x: the
+block coefficients and products of _hyper_table and _log_table and the
+denominators stop!, b^stop stop! and lcm(1, 1 + e, ..., stop).  They are
+keyed by (s, e, K, arcsin or not), stop = s K + e, for exp, sin, cos,
+arcsin's own series and _tan_over_root's two sums, so those two reuse sin's
+and cos's tables at equal K; by (e, stop) for log and arctan's own series;
+and by (a, b, stop) for binomial.  A table with stop at most _TABLE_STOP =
+1024 is built once and kept in one least-recently-used cache of
+_TABLE_ENTRIES = 64.  That stop covers every series at N <= 512 on v(x) = 1,
+whose deepest stop is sin's 1023 at p = 3.  At stop 1024 a table holds at
+most 70 kB, or 180 kB for a binomial exponent with |a| and b near 2^20, so
+the cache holds at most 12 MB.  A deeper table is rebuilt on every call: at
+stop 8192 the seven tables of one input set hold 6 MB.  Only the block
+weights, which carry d^s and are reduced modulo P, and the final inverse
+depend on x.  A cached table is the same integers as a rebuilt one, and
+_planned_sum's argument does not depend on how T is formed, so every digit
+and O-term is unchanged.
+
 binomial_series reaches the engine only when alpha is a small rational a/b
 modulo its precision, which rational reconstruction recovers from alpha's
 digits; any other alpha keeps the term recurrence.  There each term is divided
@@ -54,6 +72,7 @@ by a small integer with div_int, which divides the integer's unit out exactly
 with one inverse modulo that word-sized unit and none modulo p^N.
 """
 
+from functools import lru_cache
 from itertools import accumulate, repeat
 from math import factorial, isqrt, lcm, prod
 from operator import mul
@@ -237,38 +256,86 @@ def _times_x(T, k, Z, P):
     return _gmul(T, Z, P), k + 1
 
 
-def _hyper_blocks(qs, d, P, ps=None):
-    """Blocks of T = sum_{k<=K} z^k ps[0]...ps[k-1] qs[k]...qs[K-1] for the
-    K small integers qs and ps (all 1 if ps is None), so that
-    sum_{k<=K} z^k prod_{i<k} ps[i]/qs[i] = T / (qs[0]...qs[K-1]), with the
-    weights _rect takes at z / d: the ps of a block are in its coefficients
+def _hyper_table(qs, ps):
+    """The x-free part of T = sum_{k<=K} z^k ps[0]...ps[k-1] qs[k]...qs[K-1]
+    for the K small integers qs and ps (all 1 if ps is None), so that
+    sum_{k<=K} z^k prod_{i<k} ps[i]/qs[i] = T / (qs[0]...qs[K-1]): from the
+    last block to the first, (q, coefficients, r) with q the product of the
+    block's qs and r of its ps.  The ps of a block are in its coefficients
     and, as r, in the Horner step that carries the later blocks past it."""
     K = len(qs)
     s = _block_size(K)
-    D = d**s
-    blocks, w = [], 1
+    table = []
     for start in reversed(range(0, K + 1, s)):
         coeffs = list(accumulate(reversed(qs[start:start + s]), mul))[::-1]
         if start + s > K:
             coeffs.append(1)
-        w_next, head = w * (coeffs[0] * D) % P, [1]
+        q, r = coeffs[0], 1
         if ps is not None:
             head = list(accumulate(ps[start:start + s], mul, initial=1))
-            coeffs = list(map(mul, head, coeffs))
-        blocks.append((w, coeffs, head[-1]))
-        w = w_next
-    return blocks
+            coeffs, r = list(map(mul, head, coeffs)), head[-1]
+        table.append((q, tuple(coeffs), r))
+    return tuple(table)
 
 
-def _log_blocks(dens):
-    """(L, blocks) for T = sum_k z^k L / dens[k], L = lcm(dens), the lcm of
-    the block lcms M: from the last block to the first, (L / M, [M / q for q
-    in the block]), the weights _rect takes at z / 1."""
+def _hyper_sum(z, d, table, P):
+    """_rect at z / d over a _hyper_table, whose weights are the q of every
+    later block, each times d^s."""
+    D = d ** len(table[-1][1])
+    blocks, w = [], 1
+    for q, coeffs, r in table:
+        blocks.append((w, coeffs, r))
+        w = w * (q * D) % P
+    return _rect(z, d, blocks, P)
+
+
+def _log_table(e, stop):
+    """(L, blocks) for T = sum_k z^k L / q_k over q_k = 1, 1 + e, ..., stop,
+    L their lcm, the lcm of the block lcms M: from the last block to the
+    first, (L / M, (M / q for q in the block)), the weights _rect takes at
+    z / 1."""
+    dens = range(1, stop + 1, e)
     s = _block_size(len(dens) - 1)
     groups = [dens[i:i + s] for i in range(0, len(dens), s)][::-1]
     lcms = [lcm(*group) for group in groups]
     L = lcm(*lcms)
-    return L, [(L // M, [M // q for q in g]) for M, g in zip(lcms, groups)]
+    return L, tuple((L // M, tuple(M // q for q in g)) for M, g in zip(lcms, groups))
+
+
+def _factorial_table(s, e, K, arcsin):
+    """(stop!, _hyper_table) for sum_k c_k z^k / (s k + e)!, k <= K, stop =
+    s K + e: the k-th ratio is qs[k] = (s k + e + 1) ... (s k + e + s), and
+    arcsin's c_k+1 / c_k is ps[k] = (2k + 1)^2 (else 1)."""
+    stop = s * K + e
+    qs = range(e + 1, stop + 1, s)
+    for j in range(2, s + 1):
+        qs = list(map(mul, qs, range(e + j, stop + 1, s)))
+    ps = [k * k for k in range(1, stop, 2)] if arcsin else None
+    return factorial(stop), _hyper_table(qs, ps)
+
+
+def _binomial_table(a, b, stop):
+    """(b^stop stop!, _hyper_table) for sum_{k<=stop} binom(a/b, k) z^k,
+    whose coefficient ratio is (a - k b) / ((k + 1) b)."""
+    qs = range(b, (stop + 1) * b, b)
+    ps = range(a, a - stop * b, -b)
+    return b**stop * factorial(stop), _hyper_table(qs, ps)
+
+
+# the deepest table kept for reuse, and how many are kept (module docstring)
+_TABLE_STOP = 1024
+_TABLE_ENTRIES = 64
+
+
+@lru_cache(maxsize=_TABLE_ENTRIES)
+def _cached_table(build, *key):
+    return build(*key)
+
+
+def _table(stop, build, *key):
+    """build(*key), from the cache while stop <= _TABLE_STOP; a table is
+    made of tuples, so no caller can change a shared one."""
+    return _cached_table(build, *key) if stop <= _TABLE_STOP else build(*key)
 
 
 def _block_size(K):
@@ -334,25 +401,22 @@ def _planned_sum(x, t, ms, den, g, degree, numerator):
     return QpiElement(*comps) if isinstance(x, QpiElement) else comps[0]
 
 
-def _factorial_value(x, s, e, sign, stop, t, ms, ps=None, turn=(1, 0)):
+def _factorial_value(x, s, e, sign, stop, t, ms, arcsin=False, turn=(1, 0)):
     """turn * sum_k (sign x^s)^k x^e c_k / (s k + e)! up to s k + e = stop,
-    c_0 = 1 and c_k+1 / c_k = ps[k] (1 if ps is None), over the denominator
-    stop!, whose k-th block ratio is (s k + e + 1) ... (s k + e + s)."""
-    qs = range(e + 1, stop + 1, s)
-    for j in range(2, s + 1):
-        qs = list(map(mul, qs, range(e + j, stop + 1, s)))
+    c_k as in _factorial_table, over the denominator stop!, whose k-th block
+    ratio is (s k + e + 1) ... (s k + e + s)."""
+    K = (stop - e) // s
+    den, table = _table(stop, _factorial_table, s, e, K, arcsin)
 
     def numerator(Z, d, P):
         z = Z if s == 1 else [_fold(c, P) for c in gaussian_product(Z, Z)]
         if sign < 0:
             z = (-z[0], -z[1])
-        ds = d**s
-        T, k = _rect(z, ds, _hyper_blocks(qs, ds, P, ps), P)
+        T, k = _hyper_sum(z, d**s, table, P)
         return _times_x(T, s * k, gaussian_product(Z, turn), P) if e else (T, s * k)
 
     return _planned_sum(
-        x, t, ms, factorial(stop), _vp_factorial(stop, x.ctx.p),
-        s * _block_size(len(qs)), numerator,
+        x, t, ms, den, _vp_factorial(stop, x.ctx.p), s * _block_size(K), numerator,
     )
 
 
@@ -360,7 +424,7 @@ def _log_value(x, stop, t, ms, e=1, turn=(1, 0)):
     """turn * x * sum_k (-x^e)^k / (e k + 1) up to e k + 1 = stop, over
     lcm(1, 1 + e, ..., stop), whose valuation grows like log stop, not like
     stop: log is e = 1, arctan's own series e = 2."""
-    L, blocks = _log_blocks(range(1, stop + 1, e))
+    L, blocks = _table(stop, _log_table, e, stop)
     s = len(blocks[-1][1])
 
     def numerator(Z, d, P):
@@ -379,14 +443,11 @@ def _log_value(x, stop, t, ms, e=1, turn=(1, 0)):
 
 
 def _binomial_value(x, a, b, stop, t, ms):
-    """sum_{k<=stop} binom(a/b, k) x^k, whose coefficient ratio is
-    (a - k b) / ((k + 1) b), over the denominator b^stop stop!."""
-    ps = range(a, a - stop * b, -b)
-    qs = range(b, (stop + 1) * b, b)
+    """sum_{k<=stop} binom(a/b, k) x^k over the denominator b^stop stop!."""
+    den, table = _table(stop, _binomial_table, a, b, stop)
     return _planned_sum(
-        x, t, ms, b**stop * factorial(stop), _vp_factorial(stop, x.ctx.p),
-        _block_size(stop),
-        lambda Z, d, P: _rect(Z, d, _hyper_blocks(qs, d, P, ps), P),
+        x, t, ms, den, _vp_factorial(stop, x.ctx.p), _block_size(stop),
+        lambda Z, d, P: _hyper_sum(Z, d, table, P),
     )
 
 
@@ -525,10 +586,10 @@ def _tan_over_root(n):
     K = _first_reaching(lambda k: (k + 1) * n.v - (2 * k + 2) // (p - 1), -1, 1, m)
 
     def value(e):
-        qs = [(2 * k + e + 1) * (2 * k + e + 2) for k in range(K)]
+        den, table = _table(2 * K + e, _factorial_table, 2, e, K, False)
         return _planned_sum(
-            n, None, [m], factorial(2 * K + e), _vp_factorial(2 * K + e, p), _block_size(K),
-            lambda Z, d, P: _rect((-Z[0], -Z[1]), d, _hyper_blocks(qs, d, P), P),
+            n, None, [m], den, _vp_factorial(2 * K + e, p), _block_size(K),
+            lambda Z, d, P: _hyper_sum((-Z[0], -Z[1]), d, table, P),
         )
 
     return value(1) / value(0)
@@ -557,8 +618,7 @@ def _odd_value(x, t, ms, arcsin):
     K = _first_reaching(lambda n: (2 * n + 3) * v - _ilog(2 * n + 3, p), -1, 1, top)
     stop = 2 * K + 1
     if arcsin:
-        ps = [k * k for k in range(1, stop, 2)]
-        return _factorial_value(x, 2, 1, 1, stop, t, ms, ps, (0, 1))
+        return _factorial_value(x, 2, 1, 1, stop, t, ms, True, (0, 1))
     return _log_value(x, stop, t, ms, 2, (0, 2))
 
 

@@ -128,8 +128,16 @@ class ProjectiveRotation:
         if det.is_zero:
             raise DomainError("alpha conj(alpha) + beta conj(beta) vanishes")
         pivot = self._pivot(alpha, beta)
-        object.__setattr__(self, "alpha", alpha / pivot)
-        object.__setattr__(self, "beta", beta / pivot)
+        # one inverse of the real pivot for all four parts, unless a part is
+        # an exact zero, whose display m depends on the path (as in lift); a
+        # zero pivot leaves both norms zero, so it never gets here
+        if any(c.is_exact_zero for c in (alpha.re, alpha.im, beta.re, beta.im)):
+            alpha, beta = alpha / pivot, beta / pivot
+        else:
+            a, b, c, d = real_quotients((alpha.re, alpha.im, beta.re, beta.im), pivot)
+            alpha, beta = QpiElement(a, b), QpiElement(c, d)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjectiveRotation is immutable")

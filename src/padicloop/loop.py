@@ -121,8 +121,10 @@ class Deviation:
 
 
 def deviation(x1, x2):
-    v1, v2 = x1.value, x2.value
-    return Deviation((1 - v1 * v2.conj()) / (1 - v1.conj() * v2))
+    """conj(w) / w with w = 1 - conj(xi1) xi2, since conj(w) = 1 - xi1
+    conj(xi2)."""
+    w = 1 - x1.value.conj() * x2.value
+    return Deviation(w.conj() / w)
 
 
 def deviation_apply(d, x):

@@ -179,7 +179,21 @@ MUTANTS = {
         "padic.py", "y * (3 - (a.unit", "y * (2 - (a.unit", ("tests/test_padic.py",),
     ),
     "deviation-conj-dropped": (
-        "loop.py", "(1 - v1 * v2.conj())", "(1 - v1 * v2)", ("tests/test_checks.py",),
+        "loop.py", "Deviation(w.conj() / w)", "Deviation(w / w)", ("tests/test_checks.py",),
+    ),
+    # the value step's table cache: sin must not take cos's table at equal K,
+    # nor an exponent -a/b the table of a/b
+    "series-table-key-drops-e": (
+        "analytic.py",
+        "_table(stop, _factorial_table, s, e, K, arcsin)",
+        "_table(stop, _factorial_table, s, 0, K, arcsin)",
+        SERIES,
+    ),
+    "binomial-table-key-drops-a-sign": (
+        "analytic.py",
+        "_table(stop, _binomial_table, a, b, stop)",
+        "_table(stop, _binomial_table, abs(a), b, stop)",
+        SERIES,
     ),
 }
 

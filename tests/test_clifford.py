@@ -35,7 +35,12 @@ from padicloop.loop import sphere_loop_add
 from padicloop.matrix import Mat2
 from padicloop.oracles import GaussianRational
 from padicloop.qpi import QpiElement
-from qpi_reference import norm_route_lift, norm_route_sphere_loop_add, norm_route_stereo
+from qpi_reference import (
+    norm_route_division,
+    norm_route_lift,
+    norm_route_sphere_loop_add,
+    norm_route_stereo,
+)
 
 C7 = PrimeContext(7, 24)
 C11 = PrimeContext(11, 20)
@@ -347,6 +352,57 @@ class TestRotations:
             M = R.matrix * S.matrix
             assert (M.m21 + M.m12.conj()).is_zero and (M.m22 - M.m11.conj()).is_zero
             assert T.eq_to(ProjectiveRotation(M.m11, M.m12))
+
+    @pytest.mark.parametrize("p,prec", [(3, 2), (7, 24), (11, 5), (19, 16), (10007, 8)])
+    def test_canonical_scaling_matches_norm_route(self, p, prec):
+        # alpha and beta are divided by the real pivot through one inverse of
+        # its unit; every field must be the norm route's, for every zero kind
+        ctx = PrimeContext(p, prec)
+        rng = random.Random(p * 1000 + prec)
+
+        def part():
+            kind = rng.randrange(4)
+            if kind == 0:
+                return PadicNumber.exact_zero(ctx, rng.choice((0, 1, prec, prec + 7)))
+            if kind == 1:
+                return PadicNumber.zero_mod(ctx, rng.randint(1, prec + 4))
+            return rand_padic(rng, ctx, 0, 3).truncate(rng.randint(prec, prec + 4))
+
+        built = 0
+        for _ in range(60):
+            alpha, beta = QpiElement(part(), part()), QpiElement(part(), part())
+            try:
+                R = ProjectiveRotation(alpha, beta)
+            except DomainError:
+                continue
+            built += 1
+            pivot = ProjectiveRotation._pivot(alpha, beta)
+            want = [norm_route_division(z, pivot) for z in (alpha, beta)]
+            assert fields((R.alpha.re, R.alpha.im, R.beta.re, R.beta.im)) == fields(
+                (want[0].re, want[0].im, want[1].re, want[1].im)
+            ), (alpha, beta)
+        assert built >= 30
+
+    def test_canonical_scaling_inverts_the_pivot_once(self, monkeypatch):
+        calls = []
+        inv_mod = PrimeContext.inv_mod
+
+        def counted(ctx, u, k):
+            calls.append(k)
+            return inv_mod(ctx, u, k)
+
+        ctx = PrimeContext(7, 64)
+        alpha = QpiElement(from_rational(3, 5, ctx), from_rational(7, 11, ctx))
+        beta = QpiElement(from_rational(14, 3, ctx), from_rational(49, 2, ctx))
+        monkeypatch.setattr(PrimeContext, "inv_mod", counted)
+        R = ProjectiveRotation(alpha, beta)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        pivot = ProjectiveRotation._pivot(alpha, beta)
+        want = [norm_route_division(z, pivot) for z in (alpha, beta)]
+        assert fields((R.alpha.re, R.alpha.im, R.beta.re, R.beta.im)) == fields(
+            (want[0].re, want[0].im, want[1].re, want[1].im)
+        )
 
     def test_double_reflection_is_clifford_conjugation(self):
         # Cartan-Dieudonne in the cup: reflecting twice acts like the

@@ -385,6 +385,27 @@ class TestDeviation:
             assert (d.factor * d.factor.conj()).eq_to(one)
             assert d.factor.conj().eq_to(one / d.factor)
 
+    @pytest.mark.parametrize("p", (3, 7, 11, 19, 10007))
+    def test_one_denominator_matches_two_product_formula(self, p):
+        # conj(w) / w with w = 1 - conj(x1) x2 must keep every field of
+        # (1 - x1 conj(x2)) / (1 - conj(x1) x2), which forms both products
+        rng = random.Random(f"deviation:{p}")
+        kinds = set()
+        for prec in (1, 2, 5, 16, 40):
+            ctx = PrimeContext(p, prec)
+            for _ in range(30):
+                v1, v2 = (
+                    QpiElement(*(boundary_part(rng, ctx, rng.choice(BOUNDARY_KINDS)) for _ in "ri"))
+                    for _ in "12"
+                )
+                kinds.update(c.kind for c in (v1.re, v1.im, v2.re, v2.im))
+                got = deviation(DiskPoint(v1), DiskPoint(v2)).factor
+                want = (1 - v1 * v2.conj()) / (1 - v1.conj() * v2)
+                assert [(c.kind, c.v, c.unit, c.r, c.m) for c in (got.re, got.im)] == [
+                    (c.kind, c.v, c.unit, c.r, c.m) for c in (want.re, want.im)
+                ], (v1, v2)
+        assert len(kinds) == 3
+
     def test_apply_preserves_absolute_value(self):
         rng = random.Random(93)
         for _ in range(15):

@@ -16,7 +16,9 @@ x's small rational form Z / d at every width, and the width rule that keeps
 narrow sums off it is pinned, as are arctan's and arcsin's own-series value
 step and the engine's Newton inverse.  clifford.exp_horizontal, whose t =
 tan(y)/y is two real planned sums in y^2 = N(beta), is held to the
-square-root formula it replaced (series_reference.exp_horizontal).
+square-root formula it replaced (series_reference.exp_horizontal).  The
+value step's cached tables are held to the fields of rebuilt ones, sin's and
+cos's are shown to serve _tan_over_root, and the cache's bounds are pinned.
 """
 
 import random
@@ -535,3 +537,81 @@ def test_exp_horizontal_matches_square_root_reference(forced, monkeypatch):
     assert min(norms.values()) > 30
     # wide sums took N(beta)'s small rational form, with denominators d > 1
     assert sum(form[1] > 1 for form in forms if form) > (30 if forced else 5)
+
+
+# ---- the value step's x-free tables (analytic._table) ----
+
+
+def table_calls():
+    """One outcome per call for every family that reads a table: the seven
+    functions, binomial at 1/2, -3 and -5/7, and exp_horizontal's two sums in
+    N(beta), on six rational-form inputs at each (p, N); at (7, 256) and (3,
+    512) the width rule also takes the small rational form."""
+    calls = []
+    for p, N in ((3, 40), (7, 256), (11, 12), (10007, 5), (3, 512)):
+        ctx = PrimeContext(p, N)
+        alphas = [from_rational(a, b, ctx) for a, b in ((1, 2), (-3, 1), (-5, 7))]
+        for x in rational_form_inputs(ctx)[:6]:
+            calls += [lambda fn=fn, x=x: outcome(getattr(analytic, fn), x) for fn in FUNCTIONS]
+            calls += [
+                lambda a=alpha, x=x: outcome(lambda y: analytic.binomial_series(a, y), x)
+                for alpha in alphas
+            ]
+            if isinstance(x, QpiElement):
+                calls.append(lambda x=x: _rotation_fields(clifford.exp_horizontal(x)))
+    return calls
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["width-rule", "forced-form"])
+def test_tables_give_the_same_fields_warm_and_cold(forced, monkeypatch):
+    # a table is the same integers whether it was just built or kept from an
+    # earlier call of any family, so every field must be alike both ways
+    if forced:
+        monkeypatch.setattr(analytic, "_RATIONAL_BITS", 0)
+    calls = table_calls()
+    cold = []
+    for call in calls:
+        analytic._cached_table.cache_clear()
+        cold.append(call())
+    analytic._cached_table.cache_clear()
+    warm = [call() for call in calls]
+    assert warm == cold
+    # most lookups of the warm pass were served by the cache
+    info = analytic._cached_table.cache_info()
+    assert info.hits > info.misses
+
+
+@pytest.mark.parametrize("p,N", [(7, 20), (7, 64), (11, 40), (3, 20)])
+def test_sin_cos_and_tan_over_root_share_tables(p, N, monkeypatch):
+    # _tan_over_root's S and C are sin's and cos's series in y^2 = n, so at
+    # equal K they read sin's and cos's tables and build none of their own
+    built = []
+    build = analytic._factorial_table
+    monkeypatch.setattr(analytic, "_factorial_table", lambda *key: built.append(key) or build(*key))
+    analytic._cached_table.cache_clear()
+    ctx = PrimeContext(p, N)
+    x = from_rational(3 * p, 5, ctx)
+    analytic.sin(x)
+    analytic.cos(x)
+    (_, e_sin, K, _), (_, e_cos, K_cos, _) = built
+    assert (e_sin, e_cos, K_cos) == (1, 0, K)
+    analytic._tan_over_root(x * x)
+    assert len(built) == 2
+
+
+def test_table_cache_is_bounded(monkeypatch):
+    # a table whose stop is above _TABLE_STOP is rebuilt on every call, and
+    # the cache never holds more than _TABLE_ENTRIES tables
+    stops = []
+    table = analytic._table
+    monkeypatch.setattr(analytic, "_table", lambda stop, *rest: stops.append(stop) or table(stop, *rest))
+    analytic._cached_table.cache_clear()
+    x = from_rational(6, 5, PrimeContext(3, 560))
+    analytic.exp(x)
+    analytic.sin(x)
+    assert min(stops) > analytic._TABLE_STOP
+    assert analytic._cached_table.cache_info().currsize == 0
+    for N in range(1, 120):
+        analytic.exp(from_rational(21, 5, PrimeContext(7, N)))
+        assert analytic._cached_table.cache_info().currsize <= analytic._TABLE_ENTRIES
+    assert analytic._cached_table.cache_info().currsize == analytic._TABLE_ENTRIES
