@@ -14,13 +14,14 @@ rotations act as Moebius maps.
 """
 
 from .analytic import _require, _tan_over_root, cos, exp, sin
+from .context import Immutable
 from .errors import DomainError, IsotropicAxis, OutsideDisk, PoleHit
 from .matrix import Mat2
 from .padic import INFINITE, PadicNumber, format_padic, from_int, vp_int
 from .qpi import QpiElement, format_qpi, real_quotients
 
 
-class Vector3:
+class Vector3(Immutable):
     """Point of Q_p^3 with PadicNumber coordinates."""
 
     __slots__ = ("a", "b", "c")
@@ -31,9 +32,6 @@ class Vector3:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Vector3 is immutable")
 
     @property
     def ctx(self):
@@ -50,9 +48,6 @@ class Vector3:
 
     def serialize(self):
         return f"({format_padic(self.a)}, {format_padic(self.b)}, {format_padic(self.c)})"
-
-    def __repr__(self):
-        return f"Vector3{self.serialize()}"
 
 
 def quadratic_form(u, v):
@@ -76,7 +71,7 @@ def reflect(u, v):
     return v - u.scale(factor)
 
 
-class SpherePoint:
+class SpherePoint(Immutable):
     """Point with q(v) = 1, carried as its coordinate vector; the matrix
     involution iota(v) is derived on demand.  sigma_z, lift, rotation_act and
     polar_point keep q(v) = 1 by construction, so it is not rechecked here;
@@ -86,9 +81,6 @@ class SpherePoint:
 
     def __init__(self, vec):
         object.__setattr__(self, "vec", vec)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SpherePoint is immutable")
 
     @property
     def matrix(self):
@@ -100,9 +92,6 @@ class SpherePoint:
     def serialize(self):
         return self.vec.serialize()
 
-    def __repr__(self):
-        return f"SpherePoint{self.serialize()}"
-
 
 def sigma_z(ctx):
     one = from_int(1, ctx)
@@ -110,7 +99,7 @@ def sigma_z(ctx):
     return SpherePoint(Vector3(z, z, one))
 
 
-class ProjectiveRotation:
+class ProjectiveRotation(Immutable):
     """Class of [[alpha, beta], [-conj(beta), conj(alpha)]] modulo real
     scalars, stored by one canonical representative.
 
@@ -138,9 +127,6 @@ class ProjectiveRotation:
             alpha, beta = QpiElement(a, b), QpiElement(c, d)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjectiveRotation is immutable")
 
     @staticmethod
     def _pivot(alpha, beta):
@@ -177,9 +163,6 @@ class ProjectiveRotation:
 
     def serialize(self):
         return f"[{format_qpi(self.alpha)}; {format_qpi(self.beta)}]"
-
-    def __repr__(self):
-        return f"ProjectiveRotation{self.serialize()}"
 
 
 def rotation_compose(R, S):

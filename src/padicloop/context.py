@@ -35,7 +35,20 @@ def is_prime(n):
     return True
 
 
-class PrimeContext:
+class Immutable:
+    """Base of the immutable value types: constructors set their slots with
+    object.__setattr__, and any later assignment raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.serialize()})"
+
+
+class PrimeContext(Immutable):
     """Carries p and the significant-digit count N every constructor targets.
 
     p and N are immutable.  Powers of p are cached because every normalization
@@ -59,9 +72,6 @@ class PrimeContext:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "precision", precision)
         object.__setattr__(self, "_powers", [1, p])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrimeContext is immutable")
 
     def pow(self, k):
         """p**k for k >= 0, cached up to k = 2N + 1."""

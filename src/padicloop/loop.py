@@ -17,12 +17,13 @@ adds.
 """
 
 from .clifford import ProjectiveRotation, lift, polar_point, stereo
+from .context import Immutable
 from .errors import DomainError, OutsideDisk
 from .padic import from_int
 from .qpi import QpiElement, format_qpi
 
 
-class DiskPoint:
+class DiskPoint(Immutable):
     """Element of the open unit disk of Q_p(i)."""
 
     __slots__ = ("value",)
@@ -31,9 +32,6 @@ class DiskPoint:
         if value.valuation_lower_bound < 1:
             raise OutsideDisk("disk points need |xi|_p < 1")
         object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DiskPoint is immutable")
 
     @staticmethod
     def zero(ctx):
@@ -48,9 +46,6 @@ class DiskPoint:
 
     def serialize(self):
         return format_qpi(self.value)
-
-    def __repr__(self):
-        return f"DiskPoint({self.serialize()})"
 
 
 def loop_add(x1, x2):
@@ -93,7 +88,7 @@ def right_solve(a, b):
     return DiskPoint(QpiElement(s, t))
 
 
-class Deviation:
+class Deviation(Immutable):
     """The unimodular factor (1 - xi1 conj(xi2))/(1 - conj(xi1) xi2); acts on
     the disk by multiplication.  A unit over its conjugate has u conj(u) = 1
     by construction, so it is not rechecked here; `check` reports a break
@@ -104,9 +99,6 @@ class Deviation:
     def __init__(self, factor):
         object.__setattr__(self, "factor", factor)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Deviation is immutable")
-
     def as_rotation(self):
         """The diagonal projective class acting as multiplication by the
         factor: alpha = 1 + u has alpha/conj(alpha) = u (1 + u is a unit
@@ -115,9 +107,6 @@ class Deviation:
 
     def serialize(self):
         return format_qpi(self.factor)
-
-    def __repr__(self):
-        return f"Deviation({self.serialize()})"
 
 
 def deviation(x1, x2):

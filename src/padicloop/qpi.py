@@ -146,6 +146,9 @@ class QpiElement:
         other = _coerce(other, self.ctx)
         a, b, c, d = self.re, self.im, other.re, other.im
         if not (a.is_zero or b.is_zero or c.is_zero or d.is_zero):
+            # the raw path skips the kernel operators and their prime check
+            if a.ctx.p != c.ctx.p:
+                raise PadicError("mixed primes")
             va, vb, vc, vd = a.v, b.v, c.v, d.v
             m_re = min(va + vc + min(a.r, c.r), vb + vd + min(b.r, d.r))
             m_im = min(va + vd + min(a.r, d.r), vb + vc + min(b.r, c.r))

@@ -195,6 +195,17 @@ MUTANTS = {
         "_table(stop, _binomial_table, abs(a), b, stop)",
         SERIES,
     ),
+    # the mixed-prime rule: the kernel's product, and the Q_p(i) raw product,
+    # which never reaches the kernel operators
+    "kernel-mul-mixes-primes": (
+        "padic.py",
+        'raise PadicError("mixed primes")\n        a, b = self, other\n        if a.kind != _NONZERO or',
+        'pass\n        a, b = self, other\n        if a.kind != _NONZERO or',
+        ("tests/test_padic.py",),
+    ),
+    "qpi-raw-product-mixes-primes": (
+        "qpi.py", 'raise PadicError("mixed primes")\n', "pass\n", ("tests/test_qpi.py",),
+    ),
 }
 
 

@@ -196,6 +196,15 @@ class TestQuadraticForm:
             assert quadratic_form(u, u).is_zero
 
 
+class TestVector3:
+    @pytest.mark.parametrize("other", (C11, PrimeContext(7, 8)), ids=("prime", "precision"))
+    def test_mixed_contexts_raise(self, other):
+        one, odd = from_int(1, C7), from_int(1, other)
+        for coords in ((odd, one, one), (one, odd, one), (one, one, odd)):
+            with pytest.raises(ValueError, match="^mixed contexts in Vector3$"):
+                Vector3(*coords)
+
+
 class TestReflect:
     def test_axis_maps_to_minus_itself(self):
         rng = random.Random(2010)

@@ -121,11 +121,6 @@ class TestDiskPoint:
         assert z.value.is_zero
         assert z.value.is_exact_zero
 
-    def test_immutable(self):
-        x = DiskPoint(QpiElement(from_int(7, C7)))
-        with pytest.raises(AttributeError):
-            x.value = QpiElement.zero(C7)
-
     def test_serialize_parses_back(self):
         rng = random.Random(40)
         x = rand_disk(rng, C7)
@@ -135,6 +130,36 @@ class TestDiskPoint:
         rng = random.Random(41)
         x = rand_disk(rng, C7)
         assert (-x).value.valuation_lower_bound >= 1
+
+
+def value_types():
+    x, y = DiskPoint(QpiElement(from_int(7, C7))), DiskPoint(QpiElement.i_unit(C7) * 7)
+    return {
+        "PrimeContext": (C7, "p"),
+        "Vector3": (sigma_z(C7).vec, "a"),
+        "SpherePoint": (sigma_z(C7), "vec"),
+        "ProjectiveRotation": (IDENTITY, "alpha"),
+        "DiskPoint": (x, "value"),
+        "Deviation": (deviation(x, y), "factor"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(value_types()))
+def test_immutable(name):
+    """A field, or a new attribute, cannot be assigned after construction."""
+    value, field = value_types()[name]
+    assert type(value).__name__ == name
+    before = getattr(value, field)
+    for attr in (field, "extra"):
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            setattr(value, attr, None)
+    assert getattr(value, field) is before
+
+
+@pytest.mark.parametrize("name", sorted(set(value_types()) - {"PrimeContext"}))
+def test_repr_shows_the_serialization(name):
+    value = value_types()[name][0]
+    assert repr(value) == f"{name}({value.serialize()})"
 
 
 class TestLoopAdd:

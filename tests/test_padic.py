@@ -257,6 +257,32 @@ class TestArith:
         assert (x**0).digits() == [1]
 
 
+class TestMixedPrimes:
+    """Each operator refuses operands over two primes, zero operands
+    included; two precisions over one prime mix freely."""
+
+    C11 = PrimeContext(11, 8)
+    OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_two_primes_raise(self, op):
+        fn = self.OPS[op]
+        sevens = [from_rational(2, 3, C7), PadicNumber.exact_zero(C7), PadicNumber.zero_mod(C7, 3)]
+        elevens = [from_rational(5, 7, self.C11), PadicNumber.exact_zero(self.C11)]
+        for a in sevens:
+            for b in elevens:
+                for x, y in ((a, b), (b, a)):
+                    with pytest.raises(PadicError, match="^mixed primes$"):
+                        fn(x, y)
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_two_precisions_of_one_prime_mix(self, op):
+        a, b = from_rational(2, 3, C7), from_rational(5, 11, PrimeContext(7, 16))
+        got = self.OPS[op](a, b)
+        want = self.OPS[op](a, from_rational(5, 11, C7))
+        assert got.eq_to(want)
+
+
 def fields(x):
     return (x.kind, x.v, x.unit, x.r, x.m)
 

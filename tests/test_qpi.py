@@ -400,6 +400,48 @@ class TestMixedScalarOperands:
                 assert x - y == x + (-y), f"{x} - {y}"
 
 
+class TestMixedPrimes:
+    """Q_p(i) values over two primes do not mix: the element, every operator
+    on both the raw and the object product path, and the real-divisor
+    route."""
+
+    C11 = PrimeContext(11, 8)
+    OPS = {"+": add, "-": sub, "*": mul, "/": truediv}
+
+    def values(self, ctx):
+        zero = PadicNumber.exact_zero(ctx)
+        x, y = from_rational(2, 3, ctx), from_rational(5, 9, ctx)
+        # all four parts nonzero takes the raw product, a zero part the object formula
+        return [QpiElement(x, y), QpiElement(x, zero), QpiElement(zero, y)]
+
+    def test_element_of_two_primes(self):
+        with pytest.raises(PadicError, match="^mixed primes in Q_p\\(i\\) element$"):
+            QpiElement(from_int(2, C7), from_int(3, self.C11))
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_operators_raise(self, op):
+        fn = self.OPS[op]
+        for z in self.values(C7):
+            for w in self.values(self.C11):
+                for x, y in ((z, w), (w, z)):
+                    with pytest.raises(PadicError, match="^mixed primes$"):
+                        fn(x, y)
+
+    def test_real_divisor_of_another_prime_takes_the_norm_route_error(self):
+        s = from_rational(3, 5, self.C11)
+        for z in self.values(C7):
+            for divisor in (s, QpiElement(s)):
+                with pytest.raises(PadicError, match="^mixed primes$"):
+                    z / divisor
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_two_precisions_of_one_prime_mix(self, op):
+        fn, wide = self.OPS[op], PrimeContext(7, 16)
+        for z in self.values(C7):
+            for w, w8 in zip(self.values(wide), self.values(C7)):
+                assert fn(z, w).eq_to(fn(z, w8))
+
+
 def object_mul(z, w):
     a, b, c, d = z.re, z.im, w.re, w.im
     return QpiElement(a * c - b * d, a * d + b * c)

@@ -39,26 +39,17 @@ _OPS = "completes the operator set whose __radd__ and __rsub__ are on program pa
 
 # module.qualname -> why it stays although no program path enters it
 ALLOWED = {
-    "clifford.Vector3.__setattr__": _GUARD,
     "clifford.Vector3.serialize": _BENCH,
-    "clifford.Vector3.__repr__": _SHOW,
-    "clifford.SpherePoint.__setattr__": _GUARD,
     "clifford.SpherePoint.eq_to": "equality to tracked precision, as every value type has it",
     "clifford.SpherePoint.serialize": _BENCH,
-    "clifford.SpherePoint.__repr__": _SHOW,
     "clifford.sigma_z": "the paper's pole, the centre of the cup chart",
-    "clifford.ProjectiveRotation.__setattr__": _GUARD,
     "clifford.ProjectiveRotation.serialize": _BENCH,
-    "clifford.ProjectiveRotation.__repr__": _SHOW,
-    "context.PrimeContext.__setattr__": _GUARD,
+    "context.Immutable.__setattr__": _GUARD,
+    "context.Immutable.__repr__": _SHOW,
     "context.PrimeContext.__hash__": _HASH,
     "context.PrimeContext.__repr__": _SHOW,
-    "loop.DiskPoint.__setattr__": _GUARD,
     "loop.DiskPoint.serialize": _BENCH,
-    "loop.DiskPoint.__repr__": _SHOW,
-    "loop.Deviation.__setattr__": _GUARD,
     "loop.Deviation.serialize": _BENCH,
-    "loop.Deviation.__repr__": _SHOW,
     "loop.geodesic_point": "the paper's geodesics through sigma_z",
     "matrix.Mat2.__repr__": _SHOW,
     "oracles.GaussianRational.__neg__": "perfbench/workloads.py negates oracle entries "
