@@ -139,14 +139,18 @@ class ProjectiveRotation(Immutable):
 
     @staticmethod
     def from_clifford_product(u, w):
-        """The rotation induced by the double reflection sigma_u sigma_w,
-        through the product iota(u) iota(w), which as a product of two Pauli
-        matrices has rotation shape."""
+        """The rotation induced by the double reflection sigma_u sigma_w: the
+        first row of iota(u) iota(w), which as a product of two Pauli matrices
+        has rotation shape, formed from iota's entries in Mat2's order."""
         qu = quadratic_form(u, u)
         qw = quadratic_form(w, w)
         if qu.is_zero or qw.is_zero:
             raise IsotropicAxis("double reflection needs non-isotropic axes")
-        return ProjectiveRotation(*(iota(u) * iota(w)).entries()[:2])
+        c_u, w_u, c_w = QpiElement(u.c), QpiElement(u.a, u.b), QpiElement(w.c)
+        return ProjectiveRotation(
+            c_u * c_w + w_u * QpiElement(w.a, -w.b),
+            c_u * QpiElement(w.a, w.b) + w_u * (-c_w),
+        )
 
     @property
     def matrix(self):

@@ -52,12 +52,9 @@ class PrimeContext(Immutable):
     """Carries p and the significant-digit count N every constructor targets.
 
     p and N are immutable.  Powers of p are cached because every normalization
-    reduces modulo some p^k.  The cache holds p^k only for k <= 2N + 1, so a
-    far exponent (a literal's distant term, an alpha of huge valuation) costs
-    one power, not every power below it.  It grows by unlocked appends: two
-    threads extending it at once can store a wrong power.  Share a context
-    between threads only after pow(2N + 1) has been called, or give each
-    thread its own.
+    reduces modulo some p^k: pow stores p^k the first time k is asked for and
+    nothing else, so a request keeps only the few powers it uses.  A store can
+    only hold the correct power, so a context can be shared between threads.
     """
 
     __slots__ = ("p", "precision", "_powers")
@@ -71,16 +68,15 @@ class PrimeContext(Immutable):
             raise PadicError(f"precision must be a positive integer, got {precision}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "_powers", [1, p])
+        object.__setattr__(self, "_powers", {})
 
     def pow(self, k):
-        """p**k for k >= 0, cached up to k = 2N + 1."""
-        powers = self._powers
-        while len(powers) <= k:
-            if k > 2 * self.precision + 1:
-                return self.p**k
-            powers.append(powers[-1] * self.p)
-        return powers[k]
+        """p**k for k >= 0."""
+        try:
+            return self._powers[k]
+        except KeyError:
+            power = self._powers[k] = self.p**k
+            return power
 
     def inv_mod(self, u, k):
         """Inverse of the unit u modulo p**k."""

@@ -186,10 +186,7 @@ class QpiElement:
                 "divisor is zero to its known precision in Q_p(i)"
             )
         c = self * other.conj()
-        # one inverse of the norm's unit, at the widest r either part needs
-        r = max((min(x.r, n.r) for x in (c.re, c.im) if not x.is_zero), default=0)
-        inv = self.ctx.inv_mod(n.unit % self.ctx.pow(r), r) if r else None
-        return QpiElement(c.re.quotient(n, inv), c.im.quotient(n, inv))
+        return QpiElement(*real_quotients((c.re, c.im), n))
 
     def __rtruediv__(self, other):
         return _coerce(other, self.ctx) / self

@@ -90,6 +90,16 @@ MUTANTS = {
         "pj = self.pow((j + 1) // 2)\n",
         ("tests/test_padic.py",) + SERIES,
     ),
+    "pow-keeps-every-power-below": (
+        "context.py",
+        "            power = self._powers[k] = self.p**k\n",
+        "            power = 1\n"
+        "            for j in range(k + 1):\n"
+        "                self._powers[j] = power\n"
+        "                power *= self.p\n"
+        "            power = self._powers[k]\n",
+        ("tests/test_cli.py",),
+    ),
     "div-int-cap-plus-1": (
         "padic.py",
         "r = min(self.r, ctx.precision)\n",
@@ -102,23 +112,17 @@ MUTANTS = {
         "elif d < k - 1:",
         ("tests/test_padic.py", "tests/test_precision_honesty.py"),
     ),
-    "qpi-div-narrowest-inverse": (
-        "qpi.py",
-        "r = max((min(x.r, n.r)",
-        "r = min((min(x.r, n.r)",
-        ("tests/test_qpi.py", "tests/test_precision_honesty.py"),
-    ),
     "real-divisor-takes-exact-zero": (
         "qpi.py",
         "\n                and not (a.is_exact_zero or b.is_exact_zero)):",
         "):",
         ("tests/test_qpi.py",),
     ),
-    "real-divisor-narrow-r": (
+    "real-quotients-narrow-r": (
         "qpi.py",
         "r = max((min(x.r, s.r)",
         "r = min((min(x.r, s.r)",
-        ("tests/test_qpi.py", "tests/test_clifford.py"),
+        ("tests/test_qpi.py", "tests/test_precision_honesty.py", "tests/test_clifford.py"),
     ),
     "qpi-mul-widest-m": (
         "qpi.py",

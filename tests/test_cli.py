@@ -118,6 +118,14 @@ class TestArith:
         assert str(evaluate("7^16000 + 1", ctx)) == "1 + O(7^32)"
         assert len(ctx._powers) <= ctx.precision + 2
 
+    def test_caps_request_keeps_power_cache_small(self):
+        # every power below the widest one asked for would hold about 325 MiB
+        ctx = PrimeContext(3317044064679887385961783, 8192)
+        third = evaluate("1/3", ctx).re
+        assert (third.v, third.m) == (0, 8192)
+        assert third.unit * 3 % ctx.pow(8192) == 1
+        assert sum(x.bit_length() for x in ctx._powers.values()) <= 8 * 2**20
+
     @pytest.mark.parametrize("expr", ["1 2", "foo", ")", "2^x", "O(5^2)", "sqrt(i)"])
     def test_expression_error_is_one_line(self, capsys, expr):
         code, out, err = run_cli(capsys, "arith", expr, "--p", "7")

@@ -29,6 +29,7 @@ from padicloop.errors import (
     DomainError,
     IsotropicAxis,
     OutsideDisk,
+    PadicError,
     PoleHit,
 )
 from padicloop.loop import sphere_loop_add
@@ -57,6 +58,18 @@ def rand_padic(rng, ctx, vmin=0, vmax=2):
 
 def rand_vector(rng, ctx, vmin=0, vmax=2):
     return Vector3(*(rand_padic(rng, ctx, vmin, vmax) for _ in range(3)))
+
+
+def rand_part(rng, ctx):
+    """A coordinate of a random zero kind: exact zero, inexact zero or a
+    truncated value."""
+    prec = ctx.precision
+    kind = rng.randrange(4)
+    if kind == 0:
+        return PadicNumber.exact_zero(ctx, rng.choice((0, 1, prec, prec + 7)))
+    if kind == 1:
+        return PadicNumber.zero_mod(ctx, rng.randint(1, prec + 4))
+    return rand_padic(rng, ctx, 0, 3).truncate(rng.randint(prec, prec + 4))
 
 
 def rand_axis(rng, ctx):
@@ -368,18 +381,9 @@ class TestRotations:
         # its unit; every field must be the norm route's, for every zero kind
         ctx = PrimeContext(p, prec)
         rng = random.Random(p * 1000 + prec)
-
-        def part():
-            kind = rng.randrange(4)
-            if kind == 0:
-                return PadicNumber.exact_zero(ctx, rng.choice((0, 1, prec, prec + 7)))
-            if kind == 1:
-                return PadicNumber.zero_mod(ctx, rng.randint(1, prec + 4))
-            return rand_padic(rng, ctx, 0, 3).truncate(rng.randint(prec, prec + 4))
-
         built = 0
         for _ in range(60):
-            alpha, beta = QpiElement(part(), part()), QpiElement(part(), part())
+            alpha, beta = (QpiElement(rand_part(rng, ctx), rand_part(rng, ctx)) for _ in "ab")
             try:
                 R = ProjectiveRotation(alpha, beta)
             except DomainError:
@@ -423,6 +427,34 @@ class TestRotations:
             P = lift(rand_disk_qpi(rng, C7))
             want = reflect(u, reflect(w, P.vec))
             assert rotation_act(R, P).vec.eq_to(want)
+
+    @pytest.mark.parametrize("p", [3, 7, 11, 19, 10007])
+    @pytest.mark.parametrize("prec", [1, 2, 5, 16, 40])
+    def test_clifford_product_row_matches_matrix_route(self, p, prec):
+        # the first row alone must give every field, m included, of the full
+        # iota(u) iota(w), for every zero kind of the axes' coordinates
+        ctx = PrimeContext(p, prec)
+        rng = random.Random(p * 100 + prec)
+
+        def outcome(route, u, w):
+            try:
+                R = route(u, w)
+            except PadicError as e:
+                return type(e)
+            return fields((R.alpha.re, R.alpha.im, R.beta.re, R.beta.im))
+
+        def by_matrix(u, w):
+            if quadratic_form(u, u).is_zero or quadratic_form(w, w).is_zero:
+                raise IsotropicAxis("isotropic axis")
+            return ProjectiveRotation(*(iota(u) * iota(w)).entries()[:2])
+
+        built = 0
+        for _ in range(100):
+            u, w = (Vector3(*(rand_part(rng, ctx) for _ in "abc")) for _ in "uw")
+            got = outcome(ProjectiveRotation.from_clifford_product, u, w)
+            assert got == outcome(by_matrix, u, w), (u, w)
+            built += isinstance(got, list)
+        assert built >= 20
 
 
 class TestMobius:

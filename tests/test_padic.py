@@ -2,6 +2,8 @@
 
 import operator
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from math import factorial
 from fractions import Fraction
 
@@ -100,6 +102,23 @@ class TestContext:
                     # unique x in [0, p^k) with u x = 1 there, so this is the
                     # same comparison
                     assert 0 <= x < pk and u * x % pk == 1
+
+    def test_shared_context_stores_only_correct_powers(self):
+        # pow's one store is p**k under key k, so threads racing through one
+        # context's first calls can neither get nor leave a wrong power
+        p = 10007
+        ctx = PrimeContext(p, 200)
+        ks = [k for k in range(300) for _ in range(4)]
+        random.Random(0).shuffle(ks)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(ctx.pow, ks, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [p**k for k in ks]
+        assert ctx._powers == {k: p**k for k in range(300)}
 
     def test_no_answer_beyond_the_proven_bound(self):
         # MAX_PRIME itself is a strong pseudoprime to all 13 bases
