@@ -47,23 +47,26 @@ the same digits (see _planned_sum).
 A series that stops before the plan is proven simply finishes on the object
 recurrence, so every digit and every O-term is the recurrence's own.
 
-The value step's tables depend on small integers alone, never on x: the
-block coefficients and products of _hyper_table and _log_table and the
-denominators stop!, b^stop stop! and lcm(1, 1 + e, ..., stop).  They are
-keyed by (s, e, K, arcsin or not), stop = s K + e, for exp, sin, cos,
-arcsin's own series and _tan_over_root's two sums, so those two reuse sin's
-and cos's tables at equal K; by (e, stop) for log and arctan's own series;
-and by (a, b, stop) for binomial.  A table with stop at most _TABLE_STOP =
-1024 is built once and kept in one least-recently-used cache of
-_TABLE_ENTRIES = 64.  That stop covers every series at N <= 512 on v(x) = 1,
-whose deepest stop is sin's 1023 at p = 3.  At stop 1024 a table holds at
-most 70 kB, or 180 kB for a binomial exponent with |a| and b near 2^20, so
-the cache holds at most 12 MB.  A deeper table is rebuilt on every call: at
-stop 8192 the seven tables of one input set hold 6 MB.  Only the block
-weights, which carry d^s and are reduced modulo P, and the final inverse
-depend on x.  A cached table is the same integers as a rebuilt one, and
-_planned_sum's argument does not depend on how T is formed, so every digit
-and O-term is unchanged.
+Every planned sum is one call of _planned_sum over an x-free table of
+blocks (q_j, w_j, coefficients, r_j), last block first: _hyper_table's
+(q, 1, coefficients, r), q and r the products of the block's ratios, and
+_log_table's (1, L / M, coefficients, 1), M the block's lcm.  Only
+_planned_sum knows the d^k bookkeeping: the power of x the table is summed
+in, the sign, and the closing factor x turn.  The tables and the
+denominators stop!, b^stop stop! and lcm(1, 1 + e, ..., stop) depend on
+small integers alone.  They are keyed by (s, e, K, arcsin or not), stop =
+s K + e, for exp, sin, cos, arcsin's own series and _tan_over_root's two
+sums, so those two reuse sin's and cos's tables at equal K; by (e, stop)
+for log and arctan's own series; and by (a, b, stop) for binomial.  A table
+with stop at most _TABLE_STOP = 1024 is built once and kept in one
+least-recently-used cache of _TABLE_ENTRIES = 64.  That stop covers every
+series at N <= 512 on v(x) = 1, whose deepest stop is sin's 1023 at p = 3.
+At stop 1024 a table holds at most 70 kB, or 180 kB for a binomial exponent
+with |a| and b near 2^20, so the cache holds at most 12 MB.  A deeper table
+is rebuilt on every call: at stop 8192 the seven tables of one input set
+hold 6 MB.  Only the block weights, which _rect forms modulo P with d^s,
+and the final inverse depend on x, so every digit and O-term is the same
+from a cached table as from a rebuilt one.
 
 binomial_series reaches the engine only when alpha is a small rational a/b
 modulo its precision, which rational reconstruction recovers from alpha's
@@ -218,19 +221,19 @@ def _raw(x, P):
     return tuple(out)
 
 
-def _rect(z, d, blocks, P):
-    """d^k times the sum over the J blocks j of y^j * r_0...r_(j-1) * w_j *
-    sum_i c_ji (z/d)^i mod P, y = (z/d)^s, k = s J - 1, as (that sum, k).
+def _rect(z, d, table, P):
+    """d^k times the sum over the J blocks j of (z/d)^(s j) r_0...r_(j-1)
+    q_(j+1)...q_(J-1) w_j sum_i c_ji (z/d)^i mod P, k = s J - 1, as (that
+    sum, k), for a table of (q_j, w_j, [c_j0, c_j1, ...], r_j) from the last
+    block to the first, every block but the last of s coefficients.
 
     Rectangular splitting: the homogenized powers z^i d^(s-1-i), i < s,
     once, each block as small integers times those powers, then Horner's
-    rule in z^s, each step also times the small r_j; the d^s that each step
-    leaves out is in the weights.  `blocks` holds (w_j, [c_j0, c_j1, ...],
-    r_j) from the last block to the first, w_j carrying d^s once for each
-    later block; every block but the last has s coefficients.  For small z
+    rule in z^s, each step also times the small r_j; each later block puts
+    its q and the d^s that its step leaves out in the weight.  For small z
     and d the powers are small integers and every product is big times
     small; d = 1 scales nothing."""
-    s = len(blocks[-1][1])
+    s = len(table[-1][2])
     re, im = [1, z[0]], [0, z[1]]
     while len(re) <= s:
         a, b = gaussian_product((re[-1], im[-1]), z)
@@ -241,28 +244,25 @@ def _rect(z, d, blocks, P):
         scale = list(accumulate(repeat(d, s - 1), mul, initial=1))[::-1]
         re, im = list(map(mul, re, scale)), list(map(mul, im, scale))
     real = not any(im)
-    acc = (0, 0)
-    for w, coeffs, r in blocks:
+    D, later, acc = d**s, 1, (0, 0)
+    for q, w, coeffs, r in table:
+        w = later * w % P
+        later = later * (q * D) % P
         a, b = _gmul(acc, (y[0] * r, y[1] * r), P)
         acc = (
             (a + w * sum(map(mul, coeffs, re))) % P,
             b if real else (b + w * sum(map(mul, coeffs, im))) % P,
         )
-    return acc, s * len(blocks) - 1
-
-
-def _times_x(T, k, Z, P):
-    """(T / d^k) * (Z / d) as a numerator over d^(k + 1)."""
-    return _gmul(T, Z, P), k + 1
+    return acc, s * len(table) - 1
 
 
 def _hyper_table(qs, ps):
-    """The x-free part of T = sum_{k<=K} z^k ps[0]...ps[k-1] qs[k]...qs[K-1]
-    for the K small integers qs and ps (all 1 if ps is None), so that
+    """The table of T = sum_{k<=K} z^k ps[0]...ps[k-1] qs[k]...qs[K-1] for
+    the K small integers qs and ps (all 1 if ps is None), so that
     sum_{k<=K} z^k prod_{i<k} ps[i]/qs[i] = T / (qs[0]...qs[K-1]): from the
-    last block to the first, (q, coefficients, r) with q the product of the
-    block's qs and r of its ps.  The ps of a block are in its coefficients
-    and, as r, in the Horner step that carries the later blocks past it."""
+    last block to the first, (q, 1, coefficients, r), q the product of the
+    block's qs and r of its ps: _rect puts q in the weight of every earlier
+    block and r in the Horner step that carries the later blocks past it."""
     K = len(qs)
     s = _block_size(K)
     table = []
@@ -274,32 +274,20 @@ def _hyper_table(qs, ps):
         if ps is not None:
             head = list(accumulate(ps[start:start + s], mul, initial=1))
             coeffs, r = list(map(mul, head, coeffs)), head[-1]
-        table.append((q, tuple(coeffs), r))
+        table.append((q, 1, tuple(coeffs), r))
     return tuple(table)
 
 
-def _hyper_sum(z, d, table, P):
-    """_rect at z / d over a _hyper_table, whose weights are the q of every
-    later block, each times d^s."""
-    D = d ** len(table[-1][1])
-    blocks, w = [], 1
-    for q, coeffs, r in table:
-        blocks.append((w, coeffs, r))
-        w = w * (q * D) % P
-    return _rect(z, d, blocks, P)
-
-
 def _log_table(e, stop):
-    """(L, blocks) for T = sum_k z^k L / q_k over q_k = 1, 1 + e, ..., stop,
+    """(L, table) for T = sum_k z^k L / q_k over q_k = 1, 1 + e, ..., stop,
     L their lcm, the lcm of the block lcms M: from the last block to the
-    first, (L / M, (M / q for q in the block)), the weights _rect takes at
-    z / 1."""
+    first, (1, L / M, (M / q for q in the block), 1)."""
     dens = range(1, stop + 1, e)
     s = _block_size(len(dens) - 1)
     groups = [dens[i:i + s] for i in range(0, len(dens), s)][::-1]
     lcms = [lcm(*group) for group in groups]
     L = lcm(*lcms)
-    return L, tuple((L // M, tuple(M // q for q in g)) for M, g in zip(lcms, groups))
+    return L, tuple((1, L // M, tuple(M // q for q in g), 1) for M, g in zip(lcms, groups))
 
 
 def _factorial_table(s, e, K, arcsin):
@@ -362,18 +350,20 @@ def _rational_form(x, bound):
     return (nums[0] * (d // dens[0]), nums[1] * (d // dens[1])), d
 
 
-def _planned_sum(x, t, ms, den, g, degree, numerator):
-    """The planned partial sum T / den at x's small rational form, or else
-    at x's raw integers.
+def _planned_sum(x, t, ms, den, g, table, power=1, sign=1, turn=None):
+    """The planned partial sum F(sign x^power) / den, times x turn if turn
+    is given, F the table's sum (see _rect) at d = 1: at x's small rational
+    form, or else at x's raw integers.
 
-    numerator(Z, d, P) returns (T', k) with T' / d^k = T modulo
-    P = p^(max m + g), g = v_p(den), at x = Z / d; T / den is formed with
-    one inverse of den's unit times d^k, and each component is normalized
-    at its planned m (an exact zero at the tail bound t).  Where P is at
-    least _RATIONAL_BITS wide, Z / d is x's small rational form, each part
-    under 2^(bits(P) / (2 degree)) so that y = x^degree, the power the
-    Horner steps multiply by, and d^degree stay narrower than P; otherwise,
-    or when x has no such form, Z is x's representative and d = 1.
+    At x = Z / d, _rect sums at sign Z^power over d^power and gives T' / d^k
+    = T modulo P = p^(max m + g), g = v_p(den); the factor Z turn / d adds
+    one to k.  T / den is formed with one inverse of den's unit times d^k,
+    and each component is normalized at its planned m (an exact zero at the
+    tail bound t).  Where P is at least _RATIONAL_BITS wide, Z / d is x's
+    small rational form, each part under 2^(bits(P) / (2 degree)), degree
+    = power s for blocks of s, so that y = x^degree, the power the Horner
+    steps multiply by, and d^degree stay narrower than P; otherwise, or
+    when x has no such form, Z is x's representative and d = 1.
 
     Either lift gives every digit.  The plan fixed the stop, t and each
     component's m from x's (kind, v, m) alone, and Z / d agrees with x
@@ -389,9 +379,16 @@ def _planned_sum(x, t, ms, den, g, degree, numerator):
     pg, pt = ctx.pow(g), ctx.pow(top)
     P = pg * pt
     bits = P.bit_length()
+    degree = power * len(table[-1][2])
     form = bits >= _RATIONAL_BITS and _rational_form(x, 1 << bits // (2 * degree))
     Z, d = form or (_raw(x, P), 1)
-    T, k = numerator(Z, d, P)
+    z = [_fold(c, P) for c in gaussian_product(Z, Z)] if power == 2 else Z
+    if sign < 0:
+        z = (-z[0], -z[1])
+    T, k = _rect(z, d**power, table, P)
+    k *= power
+    if turn is not None:
+        T, k = _gmul(T, gaussian_product(Z, turn), P), k + 1
     inv = ctx.inv_lift(den // pg * pow(d, k, pt) % pt, top)
     comps = [
         PadicNumber.exact_zero(ctx, t) if m is None
@@ -407,48 +404,22 @@ def _factorial_value(x, s, e, sign, stop, t, ms, arcsin=False, turn=(1, 0)):
     ratio is (s k + e + 1) ... (s k + e + s)."""
     K = (stop - e) // s
     den, table = _table(stop, _factorial_table, s, e, K, arcsin)
-
-    def numerator(Z, d, P):
-        z = Z if s == 1 else [_fold(c, P) for c in gaussian_product(Z, Z)]
-        if sign < 0:
-            z = (-z[0], -z[1])
-        T, k = _hyper_sum(z, d**s, table, P)
-        return _times_x(T, s * k, gaussian_product(Z, turn), P) if e else (T, s * k)
-
-    return _planned_sum(
-        x, t, ms, den, _vp_factorial(stop, x.ctx.p), s * _block_size(K), numerator,
-    )
+    g = _vp_factorial(stop, x.ctx.p)
+    return _planned_sum(x, t, ms, den, g, table, s, sign, turn if e else None)
 
 
 def _log_value(x, stop, t, ms, e=1, turn=(1, 0)):
     """turn * x * sum_k (-x^e)^k / (e k + 1) up to e k + 1 = stop, over
     lcm(1, 1 + e, ..., stop), whose valuation grows like log stop, not like
     stop: log is e = 1, arctan's own series e = 2."""
-    L, blocks = _table(stop, _log_table, e, stop)
-    s = len(blocks[-1][1])
-
-    def numerator(Z, d, P):
-        z = Z if e == 1 else [_fold(c, P) for c in gaussian_product(Z, Z)]
-        de = d**e
-        D, Dj, scaled = de**s, 1, []
-        for w, coeffs in blocks:
-            scaled.append((w * Dj % P, coeffs, 1))
-            Dj = Dj * D % P
-        T, k = _rect((-z[0], -z[1]), de, scaled, P)
-        return _times_x(T, e * k, gaussian_product(Z, turn), P)
-
-    return _planned_sum(
-        x, t, ms, L, _ilog(stop, x.ctx.p), e * s, numerator
-    )
+    L, table = _table(stop, _log_table, e, stop)
+    return _planned_sum(x, t, ms, L, _ilog(stop, x.ctx.p), table, e, -1, turn)
 
 
 def _binomial_value(x, a, b, stop, t, ms):
     """sum_{k<=stop} binom(a/b, k) x^k over the denominator b^stop stop!."""
     den, table = _table(stop, _binomial_table, a, b, stop)
-    return _planned_sum(
-        x, t, ms, den, _vp_factorial(stop, x.ctx.p), _block_size(stop),
-        lambda Z, d, P: _hyper_sum(Z, d, table, P),
-    )
+    return _planned_sum(x, t, ms, den, _vp_factorial(stop, x.ctx.p), table)
 
 
 # bounds |a| and b of an exponent the engine sums: a block coefficient is a
@@ -587,10 +558,7 @@ def _tan_over_root(n):
 
     def value(e):
         den, table = _table(2 * K + e, _factorial_table, 2, e, K, False)
-        return _planned_sum(
-            n, None, [m], den, _vp_factorial(2 * K + e, p), _block_size(K),
-            lambda Z, d, P: _hyper_sum((-Z[0], -Z[1]), d, table, P),
-        )
+        return _planned_sum(n, None, [m], den, _vp_factorial(2 * K + e, p), table, 1, -1)
 
     return value(1) / value(0)
 

@@ -76,7 +76,18 @@ MUTANTS = {
         SERIES,
     ),
     "rational-form-den-power": (
-        "analytic.py", "return _gmul(T, Z, P), k + 1", "return _gmul(T, Z, P), k", SERIES,
+        "analytic.py",
+        "gaussian_product(Z, turn), P), k + 1",
+        "gaussian_product(Z, turn), P), k",
+        SERIES,
+    ),
+    # the value step's block weights: each later block's d^s, and log's
+    # block weights L / M
+    "rect-weights-drop-d": (
+        "analytic.py", "later = later * (q * D) % P", "later = later * q % P", SERIES,
+    ),
+    "log-block-weight-dropped": (
+        "analytic.py", "w = later * w % P", "w = later % P", SERIES,
     ),
     "own-series-stop-minus-1": (
         "analytic.py", "stop = 2 * K + 1", "stop = 2 * K - 1", SERIES,

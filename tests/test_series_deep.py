@@ -19,6 +19,8 @@ tan(y)/y is two real planned sums in y^2 = N(beta), is held to the
 square-root formula it replaced (series_reference.exp_horizontal).  The
 value step's cached tables are held to the fields of rebuilt ones, sin's and
 cos's are shown to serve _tan_over_root, and the cache's bounds are pinned.
+The one value step, _rect, is held to the sum its docstring defines on every
+table shape, and log and arctan's own series are shown to reach it.
 """
 
 import random
@@ -183,6 +185,27 @@ def test_small_rational_exponents_reach_the_engine(p, monkeypatch):
                 assert p == 7  # -5/7 is outside Z_7
     pairs = [(1, 2), (-3, 1), (2, 1)] + ([] if p == 7 else [(-5, 7)])
     assert reached == pairs * 2
+
+
+@pytest.mark.parametrize("p", [3, 7, 11, 10007])
+def test_log_family_reaches_the_engine(p, monkeypatch):
+    # the object recurrence keeps every digit too, so only a spy shows log
+    # and arctan's own series leaving it for the value step
+    ctx = PrimeContext(p, 64)
+    reached = []
+    value = analytic._log_value
+
+    def spy(x, stop, t, ms, e=1, turn=(1, 0)):
+        reached.append((e, turn))
+        return value(x, stop, t, ms, e, turn)
+
+    monkeypatch.setattr(analytic, "_log_value", spy)
+    x = from_rational(3 * p, 5, ctx)
+    analytic.log(from_rational(1, 1, ctx) + x)
+    assert reached == [(1, (1, 0))]
+    if p % 4 == 3:
+        analytic.arctan(x)
+        assert reached == [(1, (1, 0)), (2, (0, 2))]
 
 
 def test_binomial_plan_waits_for_its_dip(monkeypatch):
@@ -615,3 +638,68 @@ def test_table_cache_is_bounded(monkeypatch):
         analytic.exp(from_rational(21, 5, PrimeContext(7, N)))
         assert analytic._cached_table.cache_info().currsize <= analytic._TABLE_ENTRIES
     assert analytic._cached_table.cache_info().currsize == analytic._TABLE_ENTRIES
+
+
+def _gaussian_power(z, n):
+    re, im = 1, 0
+    for _ in range(n):
+        re, im = re * z[0] - im * z[1], re * z[1] + im * z[0]
+    return re, im
+
+
+def rect_by_definition(z, d, table, P):
+    """The sum _rect's docstring defines, with exact integers: d^k times the
+    sum over the blocks j of (z/d)^(s j) r_0...r_(j-1) q_(j+1)...q_(J-1) w_j
+    sum_i c_ji (z/d)^i, k = s J - 1, reduced mod P."""
+    blocks = table[::-1]
+    s, J = len(table[-1][2]), len(table)
+    k = s * J - 1
+    re = im = 0
+    for j, (_, w, coeffs, _) in enumerate(blocks):
+        outer = w
+        for r in (block[3] for block in blocks[:j]):
+            outer *= r
+        for q in (block[0] for block in blocks[j + 1:]):
+            outer *= q
+        for i, c in enumerate(coeffs):
+            a, b = _gaussian_power(z, s * j + i)
+            scale = outer * c * d ** (k - s * j - i)
+            re, im = re + a * scale, im + b * scale
+    return (re % P, im % P), k
+
+
+RECT_KS = (0, 1, 2, 3, 15, 16, 17, 100)
+
+
+@pytest.mark.parametrize("p", [3, 7, 10007])
+def test_rect_matches_its_definition(p):
+    # _planned_sum is _rect's only caller, and every series is summed through
+    # it, so it is held here to its own definition on hyper tables with and
+    # without ps and on log tables, at real and Gaussian z and at d = 1 and a
+    # d > 1 prime to p
+    rng = random.Random(f"rect:{p}")
+    P = p**12
+    mismatched = []
+    for K in RECT_KS:
+        qs = [rng.randint(1, 60) for _ in range(K)]
+        ps = [rng.randint(-60, 60) for _ in range(K)]
+        tables = {
+            "hyper": analytic._hyper_table(qs, None),
+            "hyper-ps": analytic._hyper_table(qs, ps),
+            "log-e1": analytic._log_table(1, K + 1)[1],
+            "log-e2": analytic._log_table(2, 2 * K + 1)[1],
+        }
+        for name, table in tables.items():
+            for z in ((rng.randrange(-P, P), 0), (rng.randrange(P), rng.randrange(-P, P))):
+                for d in (1, rng.choice([c for c in range(2, 60) if c % p])):
+                    if analytic._rect(z, d, table, P) != rect_by_definition(z, d, table, P):
+                        mismatched.append((name, K, z, d))
+        # _planned_sum reads the block size, and so its degree, off the table
+        s = analytic._block_size(K)
+        for s_e in ((1, 0), (2, 1), (2, 0)):
+            assert len(analytic._factorial_table(*s_e, K, False)[1][-1][2]) == s
+        assert len(analytic._factorial_table(2, 1, K, True)[1][-1][2]) == s
+        assert len(analytic._binomial_table(-5, 7, K)[1][-1][2]) == s
+        for e in (1, 2):
+            assert len(analytic._log_table(e, e * K + 1)[1][-1][2]) == s
+    assert mismatched == []
